@@ -16,7 +16,7 @@
 # Usage:
 #   bench/run_bench.sh [out.json]          # default: BENCH_emulator_throughput.json
 #   BUILD_DIR=build-rel bench/run_bench.sh # use/configure a different build tree
-#   BENCH_ARGS="--benchmark_min_time=0.2s" bench/run_bench.sh  # extra harness args
+#   BENCH_ARGS="--benchmark_min_time=0.2" bench/run_bench.sh  # extra harness args
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"

@@ -75,7 +75,7 @@ ShardOutcome RunOneShardWithCuts(const ShardPlan& plan, std::uint32_t shard_id) 
     if (!st.ok()) return fail(std::move(st));
   }
 
-  FioRunner fio(dev, plan.backend);
+  FioRunner fio(dev);
   FioRunner::Session session(fio, ShardedRunner::JobsForShard(plan, shard_id),
                              start);
   if (Status st = session.Begin(); !st.ok()) return fail(std::move(st));
@@ -153,7 +153,7 @@ ShardOutcome RunOneShard(const ShardPlan& plan, std::uint32_t shard_id) {
     }
   }
 
-  FioRunner fio(dev, plan.backend);
+  FioRunner fio(dev);
   auto run = fio.Run(ShardedRunner::JobsForShard(plan, shard_id), start);
   if (!run.ok()) {
     out.status = run.status();

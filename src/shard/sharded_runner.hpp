@@ -1,5 +1,5 @@
 // Sharded multi-device parallel runner — the scale-out half of the
-// engine (the timing wheel in src/sim is the scale-up half).
+// engine.
 //
 // A shard is a fully independent simulated device: its own
 // ConZoneConfig, its own fault-RNG stream, its own workload RNGs, its
@@ -34,7 +34,6 @@
 #include "core/storage_device.hpp"
 #include "fault/fault_model.hpp"
 #include "host/striped_volume.hpp"
-#include "sim/event_queue.hpp"
 #include "workload/fio.hpp"
 
 namespace conzone {
@@ -88,7 +87,6 @@ struct ShardPlan {
   std::uint64_t precondition_bytes = 0;
   /// Mid-run power-cut schedule (cuts == 0 disables it).
   ShardCutSchedule cut_schedule;
-  EventQueue::Backend backend = EventQueue::Backend::kTimingWheel;
 };
 
 /// One shard's outcome, in full — kept per shard (not just merged) so

@@ -280,7 +280,7 @@ Status FioRunner::Session::Begin() {
     states_->push_back(std::move(js));
   }
 
-  q_ = std::make_unique<EventQueue>(runner_.backend_);
+  q_ = std::make_unique<EventQueue>();
   ctx_ = std::make_unique<RunCtx>(RunCtx{*states_, *q_});
   // The initial burst rides the submission ring too: all iodepth chains
   // of a job are ready at `start`, so each job costs one flush event —
@@ -320,7 +320,7 @@ Result<SimTime> FioRunner::Session::Resume(SimTime at, const ZoneWpFn& zone_wp) 
   // cut and stale submission flushes; all of it died with the power.
   // Bank the executed-event count and rebuild queue + context.
   events_base_ += q_->executed();
-  q_ = std::make_unique<EventQueue>(runner_.backend_);
+  q_ = std::make_unique<EventQueue>();
   ctx_ = std::make_unique<RunCtx>(RunCtx{*states_, *q_});
 
   SimTime t = at;

@@ -110,15 +110,8 @@ struct RunResult {
 
 class FioRunner {
  public:
-  /// `backend` selects the event-queue implementation driving the run;
-  /// results are bit-identical across backends (the scheduler contract),
-  /// so this only matters for wall-clock speed and for cross-checking.
-  explicit FioRunner(StorageDevice& device,
-                     EventQueue::Backend backend = EventQueue::Backend::kTimingWheel)
-      : device_(device),
-        info_(device.info()),
-        div_zone_(info_.zone_size_bytes),
-        backend_(backend) {}
+  explicit FioRunner(StorageDevice& device)
+      : device_(device), info_(device.info()), div_zone_(info_.zone_size_bytes) {}
 
   /// Run all jobs concurrently starting at simulated time `start`.
   Result<RunResult> Run(const std::vector<JobSpec>& jobs,
@@ -186,7 +179,6 @@ class FioRunner {
   /// a std::string) per call, which is too expensive for the issue path.
   DeviceInfo info_;
   FastDiv div_zone_;  ///< info_.zone_size_bytes (hardware div when 0)
-  EventQueue::Backend backend_;
   Status run_error_;
 
  public:

@@ -24,6 +24,11 @@ struct GeometryCase {
   L2pSearchStrategy strategy;
 };
 
+// Without a printer gtest shows the raw bytes of the case, and those hold the
+// address of `name`, which moves with ASLR, so the listed test names (and the
+// ctest names derived from them) would differ from one build to the next.
+void PrintTo(const GeometryCase& p, std::ostream* os) { *os << p.name; }
+
 ConZoneConfig MakeConfig(const GeometryCase& p) {
   ConZoneConfig cfg = ConZoneConfig::PaperConfig();
   cfg.geometry.channels = p.channels;

@@ -6,11 +6,6 @@
 //   * 1-shard identity: a 1-shard, 1-thread plan reproduces the plain
 //     single-device FioRunner run bit for bit (ForShard(0)/JobsForShard
 //     are identity derivations).
-//   * Backend invariance at the device level: a full FioRunner run over
-//     a real device — faults enabled and faults disabled — produces
-//     identical results under the binary-heap and timing-wheel event
-//     queues. (The event-order property test lives in sim_test.cpp;
-//     this closes the loop end to end.)
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -57,8 +52,7 @@ std::vector<JobSpec> MixedJobs() {
   return {rd, wr};
 }
 
-ShardPlan MakePlan(bool faults, std::uint32_t shards, std::uint32_t threads,
-                   EventQueue::Backend backend = EventQueue::Backend::kTimingWheel) {
+ShardPlan MakePlan(bool faults, std::uint32_t shards, std::uint32_t threads) {
   ShardPlan plan;
   plan.config = SmallConfig(faults);
   plan.jobs = MixedJobs();
@@ -66,7 +60,6 @@ ShardPlan MakePlan(bool faults, std::uint32_t shards, std::uint32_t threads,
   plan.threads = threads;
   plan.master_seed = 42;
   plan.precondition_bytes = 16 * kMiB;
-  plan.backend = backend;
   return plan;
 }
 
@@ -110,6 +103,11 @@ TEST(ShardedRunnerTest, MergedStatsIdenticalForAnyThreadCount) {
     for (const std::uint32_t threads : {1u, 3u, 8u}) {
       auto res = ShardedRunner(MakePlan(faults, /*shards=*/4, threads)).Run();
       ASSERT_TRUE(res.ok()) << res.status().ToString();
+      // The fault flavor must actually exercise the recovery machinery,
+      // or the invariance proves less than it claims.
+      if (faults) {
+        EXPECT_GT(res.value().reliability.TotalFaults(), 0u);
+      }
       const std::string fp = Fingerprint(res.value());
       if (reference.empty()) {
         reference = fp;
@@ -134,7 +132,7 @@ TEST(ShardedRunnerTest, OneShardMatchesSingleDevicePathBitForBit) {
     ASSERT_TRUE(FioRunner::Precondition(dev, 0, plan.precondition_bytes,
                                         512 * kKiB, &start)
                     .ok());
-    FioRunner fio(dev, plan.backend);
+    FioRunner fio(dev);
     auto direct = fio.Run(plan.jobs, start);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
@@ -242,30 +240,6 @@ TEST(ShardedRunnerTest, ZeroShardsIsAnError) {
   plan.shards = 0;
   auto res = ShardedRunner(plan).Run();
   EXPECT_FALSE(res.ok());
-}
-
-// Device-level wheel-vs-heap cross-check (faults on and off): the whole
-// simulated run — timestamps, latency distribution, fault stream,
-// recovery work — must not depend on the event-queue backend.
-TEST(BackendEquivalenceTest, FullDeviceRunIdenticalUnderHeapAndWheel) {
-  for (const bool faults : {false, true}) {
-    std::string fingerprints[2];
-    int i = 0;
-    for (const auto backend : {EventQueue::Backend::kBinaryHeap,
-                               EventQueue::Backend::kTimingWheel}) {
-      auto res = ShardedRunner(MakePlan(faults, /*shards=*/2, /*threads=*/1,
-                                        backend))
-                     .Run();
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      // The fault flavor must actually exercise the recovery machinery,
-      // or the cross-check proves less than it claims.
-      if (faults) {
-        EXPECT_GT(res.value().reliability.TotalFaults(), 0u);
-      }
-      fingerprints[i++] = Fingerprint(res.value());
-    }
-    EXPECT_EQ(fingerprints[0], fingerprints[1]) << "faults=" << faults;
-  }
 }
 
 }  // namespace

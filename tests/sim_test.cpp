@@ -1,12 +1,14 @@
 // Unit tests for the discrete-event engine: busy-until resource
-// timelines and the event queue. The EventQueue tests are parameterized
-// over both backends (binary heap and timing wheel): the scheduler
-// contract — time order, FIFO among equal timestamps, clamp semantics —
-// is backend-independent, and the randomized cross-check at the bottom
-// proves the two execute bit-identical event orders.
+// timelines and the event queue. The EventQueue tests cover the
+// scheduler contract — time order, FIFO among equal timestamps, clamp
+// semantics — and the randomized check at the bottom compares the
+// executed order with an oracle: the scheduled set sorted by
+// (effective time, schedule order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <compare>
 #include <functional>
 #include <string>
 #include <vector>
@@ -51,11 +53,8 @@ TEST(ResourceTimelineTest, ResetClearsState) {
   EXPECT_EQ(r.busy_time().ns(), 0u);
 }
 
-class EventQueueBackendTest
-    : public ::testing::TestWithParam<EventQueue::Backend> {};
-
-TEST_P(EventQueueBackendTest, RunsInTimeOrder) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, RunsInTimeOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(300), [&](SimTime) { order.push_back(3); });
   q.Schedule(SimTime::FromNanos(100), [&](SimTime) { order.push_back(1); });
@@ -65,8 +64,8 @@ TEST_P(EventQueueBackendTest, RunsInTimeOrder) {
   EXPECT_EQ(q.now().ns(), 300u);
 }
 
-TEST_P(EventQueueBackendTest, EqualTimestampsRunFifo) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, EqualTimestampsRunFifo) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q.Schedule(SimTime::FromNanos(10), [&, i](SimTime) { order.push_back(i); });
@@ -75,8 +74,8 @@ TEST_P(EventQueueBackendTest, EqualTimestampsRunFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST_P(EventQueueBackendTest, EventsMayScheduleMoreEvents) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, EventsMayScheduleMoreEvents) {
+  EventQueue q;
   int count = 0;
   std::function<void(SimTime)> chain = [&](SimTime t) {
     if (++count < 10) q.Schedule(t + SimDuration::Nanos(5), chain);
@@ -87,8 +86,8 @@ TEST_P(EventQueueBackendTest, EventsMayScheduleMoreEvents) {
   EXPECT_EQ(q.now().ns(), 45u);
 }
 
-TEST_P(EventQueueBackendTest, RunUntilStopsAtDeadline) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, RunUntilStopsAtDeadline) {
+  EventQueue q;
   int ran = 0;
   q.Schedule(SimTime::FromNanos(10), [&](SimTime) { ran++; });
   q.Schedule(SimTime::FromNanos(20), [&](SimTime) { ran++; });
@@ -98,10 +97,10 @@ TEST_P(EventQueueBackendTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_P(EventQueueBackendTest, RunUntilExactlyAtEventTimestampRunsIt) {
+TEST(EventQueueTest, RunUntilExactlyAtEventTimestampRunsIt) {
   // Deadline == event time is inclusive: the event at the deadline runs,
   // the next one (1 ns later) does not.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::vector<std::uint64_t> ran;
   q.Schedule(SimTime::FromNanos(100), [&](SimTime t) { ran.push_back(t.ns()); });
   q.Schedule(SimTime::FromNanos(100), [&](SimTime t) { ran.push_back(t.ns()); });
@@ -115,13 +114,11 @@ TEST_P(EventQueueBackendTest, RunUntilExactlyAtEventTimestampRunsIt) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueBackendTest, ScheduleAfterRunUntilPeekedPastDeadline) {
+TEST(EventQueueTest, ScheduleAfterRunUntilPeekedPastDeadline) {
   // RunUntil must not "use up" the timeline: after it stops at a deadline
   // short of the next event, scheduling between the deadline and that
-  // event must still run in correct order. (Under the wheel backend this
-  // exercises the cursor-resync path: the peek advanced the wheel to the
-  // far event's timestamp.)
-  EventQueue q(GetParam());
+  // event must still run in correct order.
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(1000), [&](SimTime) { order.push_back(2); });
   q.RunUntil(SimTime::FromNanos(100));  // peeks 1000, runs nothing
@@ -133,17 +130,15 @@ TEST_P(EventQueueBackendTest, ScheduleAfterRunUntilPeekedPastDeadline) {
   EXPECT_EQ(q.now().ns(), 1000u);
 }
 
-TEST_P(EventQueueBackendTest, RunNextOnEmptyReturnsFalse) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, RunNextOnEmptyReturnsFalse) {
+  EventQueue q;
   EXPECT_FALSE(q.RunNext());
 }
 
-TEST_P(EventQueueBackendTest, SchedulingIntoThePastClampsToNow) {
+TEST(EventQueueTest, SchedulingIntoThePastClampsToNow) {
   // The documented precondition (`t` not earlier than now()) is enforced
-  // by an explicit policy; the default clamps the event forward to now()
-  // and counts the violation.
-  EventQueue q(GetParam());
-  ASSERT_EQ(q.past_policy(), EventQueue::PastPolicy::kClampToNow);
+  // by clamping the event forward to now() and counting the violation.
+  EventQueue q;
   std::vector<int> order;
   q.Schedule(SimTime::FromNanos(100), [&](SimTime) {
     order.push_back(1);
@@ -162,8 +157,8 @@ TEST_P(EventQueueBackendTest, SchedulingIntoThePastClampsToNow) {
   EXPECT_EQ(q.now().ns(), 100u);
 }
 
-TEST_P(EventQueueBackendTest, ClampingNeverRewindsNow) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, ClampingNeverRewindsNow) {
+  EventQueue q;
   q.Schedule(SimTime::FromNanos(50), [&](SimTime) {
     q.Schedule(SimTime::FromNanos(10), [](SimTime) {});
   });
@@ -172,8 +167,8 @@ TEST_P(EventQueueBackendTest, ClampingNeverRewindsNow) {
   EXPECT_EQ(q.clamped_schedules(), 1u);
 }
 
-TEST_P(EventQueueBackendTest, CountsExecutedEvents) {
-  EventQueue q(GetParam());
+TEST(EventQueueTest, CountsExecutedEvents) {
+  EventQueue q;
   for (int i = 0; i < 7; ++i) {
     q.Schedule(SimTime::FromNanos(static_cast<std::uint64_t>(i)), [](SimTime) {});
   }
@@ -181,10 +176,10 @@ TEST_P(EventQueueBackendTest, CountsExecutedEvents) {
   EXPECT_EQ(q.executed(), 7u);
 }
 
-TEST_P(EventQueueBackendTest, SteadyStateChainRecyclesSlots) {
+TEST(EventQueueTest, SteadyStateChainRecyclesSlots) {
   // A long self-scheduling chain keeps exactly one event pending; the
   // slot pool must not grow with chain length (recycling, not leaking).
-  EventQueue q(GetParam());
+  EventQueue q;
   int count = 0;
   std::function<void(SimTime)> chain = [&](SimTime t) {
     if (++count < 10000) q.Schedule(t + SimDuration::Nanos(1), chain);
@@ -195,10 +190,10 @@ TEST_P(EventQueueBackendTest, SteadyStateChainRecyclesSlots) {
   EXPECT_EQ(q.executed(), 10000u);
 }
 
-TEST_P(EventQueueBackendTest, OversizedCapturesStillRun) {
+TEST(EventQueueTest, OversizedCapturesStillRun) {
   // Callables beyond the inline buffer take the heap fallback but behave
   // identically.
-  EventQueue q(GetParam());
+  EventQueue q;
   std::array<std::uint64_t, 16> big{};
   big[15] = 42;
   std::uint64_t got = 0;
@@ -207,12 +202,11 @@ TEST_P(EventQueueBackendTest, OversizedCapturesStillRun) {
   EXPECT_EQ(got, 42u);
 }
 
-TEST_P(EventQueueBackendTest, FarFutureEventsBeyondWheelHorizon) {
-  // Events farther out than the wheel's top-level horizon (2^32 ns) land
-  // in the overflow heap; promotion back into the wheel must preserve
-  // time order and equal-timestamp FIFO. Exercised across several
-  // horizon windows, interleaved with near events.
-  EventQueue q(GetParam());
+TEST(EventQueueTest, FarFutureTimestampsAbove32Bits) {
+  // Timestamps above 2^32 ns (~4.3 s) keep time order and
+  // equal-timestamp FIFO, interleaved with near events and across
+  // several 2^32 ns windows.
+  EventQueue q;
   constexpr std::uint64_t kHorizon = 1ull << 32;
   std::vector<std::uint64_t> ran;
   std::vector<std::uint64_t> expect;
@@ -236,72 +230,66 @@ TEST_P(EventQueueBackendTest, FarFutureEventsBeyondWheelHorizon) {
   EXPECT_EQ(q.executed(), 7u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, EventQueueBackendTest,
-    ::testing::Values(EventQueue::Backend::kBinaryHeap,
-                      EventQueue::Backend::kTimingWheel),
-    [](const ::testing::TestParamInfo<EventQueue::Backend>& info) {
-      return info.param == EventQueue::Backend::kBinaryHeap ? "BinaryHeap"
-                                                            : "TimingWheel";
-    });
-
-TEST(EventQueueDefaultTest, DefaultBackendIsTimingWheel) {
-  EventQueue q;
-  EXPECT_EQ(q.backend(), EventQueue::Backend::kTimingWheel);
-}
-
-// --- Wheel-vs-heap property test -----------------------------------------
+// --- Randomized oracle check ---------------------------------------------
 //
-// Randomized schedules driven through both backends must execute the
-// exact same (timestamp, id) sequence — including FIFO order among equal
-// timestamps. The generator deliberately stresses every structural path
-// of the wheel: dense equal-timestamp bursts, nested scheduling from
-// inside callbacks, clamped past requests, overflow-horizon events and
-// RunUntil peeks that force a cursor resync.
+// Every scheduled event records its effective time, max(at, now()), at
+// the moment it is scheduled; ids are assigned in schedule order. The
+// queue must then execute exactly the scheduled set, sorted by
+// (effective time, id) — time order with FIFO among equal timestamps —
+// with nothing lost or duplicated. The generator mixes dense
+// equal-timestamp bursts, nested scheduling from inside callbacks,
+// clamped past requests, timestamps above 2^32 ns and RunUntil stops
+// between schedules.
 
 struct TraceEvent {
   std::uint64_t when;
   std::uint64_t id;
-  bool operator==(const TraceEvent&) const = default;
+  auto operator<=>(const TraceEvent&) const = default;
 };
 
-std::vector<TraceEvent> RunRandomSchedule(EventQueue::Backend backend,
-                                          std::uint64_t seed) {
-  EventQueue q(backend);
+struct RandomScheduleRun {
+  std::vector<TraceEvent> scheduled;
+  std::vector<TraceEvent> executed;
+};
+
+RandomScheduleRun RunRandomSchedule(std::uint64_t seed) {
+  EventQueue q;
   Rng rng(seed);
-  std::vector<TraceEvent> trace;
+  RandomScheduleRun run;
   std::uint64_t next_id = 0;
 
-  // Each executed event may reschedule children; cap total work.
-  constexpr std::size_t kMaxEvents = 4000;
-  auto schedule_one = [&](SimTime at) {
+  // Schedule one traced event at `at`; `spawn` runs after it is traced.
+  auto schedule = [&](SimTime at, std::function<void(SimTime)> spawn) {
     const std::uint64_t id = next_id++;
-    q.Schedule(at, [&, id](SimTime t) {
-      trace.push_back(TraceEvent{t.ns(), id});
-      if (trace.size() >= kMaxEvents) return;
+    run.scheduled.push_back(TraceEvent{std::max(at, q.now()).ns(), id});
+    q.Schedule(at, [&run, id, spawn = std::move(spawn)](SimTime t) {
+      run.executed.push_back(TraceEvent{t.ns(), id});
+      if (spawn) spawn(t);
+    });
+  };
+
+  // Each root event may schedule children; cap total work.
+  constexpr std::size_t kMaxEvents = 4000;
+  auto schedule_root = [&](SimTime at) {
+    schedule(at, [&](SimTime t) {
+      if (run.executed.size() >= kMaxEvents) return;
       // 0-2 children at adversarial offsets.
       const std::uint64_t kids = rng.NextBelow(3);
       for (std::uint64_t k = 0; k < kids; ++k) {
         std::uint64_t off;
         switch (rng.NextBelow(6)) {
           case 0: off = 0; break;                        // same timestamp
-          case 1: off = 1 + rng.NextBelow(4); break;     // level-0 near
+          case 1: off = 1 + rng.NextBelow(4); break;
           case 2: off = 1 + rng.NextBelow(1 << 16); break;
           case 3: off = 1 + rng.NextBelow(1 << 30); break;
           case 4: off = (1ull << 32) + rng.NextBelow(1ull << 33); break;
           default: off = 1 + rng.NextBelow(256); break;
         }
-        const std::uint64_t id2 = next_id++;
-        q.Schedule(t + SimDuration::Nanos(off), [&, id2](SimTime t2) {
-          trace.push_back(TraceEvent{t2.ns(), id2});
-        });
+        schedule(t + SimDuration::Nanos(off), nullptr);
       }
       // Occasionally request the simulated past (clamped to now, FIFO).
       if (rng.NextBelow(8) == 0 && t.ns() > 0) {
-        const std::uint64_t id3 = next_id++;
-        q.Schedule(SimTime::FromNanos(rng.NextBelow(t.ns())), [&, id3](SimTime t3) {
-          trace.push_back(TraceEvent{t3.ns(), id3});
-        });
+        schedule(SimTime::FromNanos(rng.NextBelow(t.ns())), nullptr);
       }
     });
   };
@@ -311,35 +299,28 @@ std::vector<TraceEvent> RunRandomSchedule(EventQueue::Backend backend,
     const std::uint64_t base = rng.NextBelow(1ull << 34);
     const std::uint64_t burst = 1 + rng.NextBelow(4);
     for (std::uint64_t b = 0; b < burst; ++b) {
-      schedule_one(SimTime::FromNanos(base));
+      schedule_root(SimTime::FromNanos(base));
     }
   }
-  // Alternate RunUntil (forces peeks / possible resyncs) with more
-  // scheduling, then drain.
+  // Alternate RunUntil stops with more scheduling, then drain.
   for (int round = 0; round < 4; ++round) {
     q.RunUntil(SimTime::FromNanos((round + 1) * (1ull << 32)));
-    schedule_one(SimTime::FromNanos(q.now().ns() + rng.NextBelow(1ull << 33)));
+    schedule_root(SimTime::FromNanos(q.now().ns() + rng.NextBelow(1ull << 33)));
   }
   q.RunAll();
-  return trace;
+  return run;
 }
 
-TEST(EventQueueCrossCheckTest, WheelMatchesHeapOnRandomizedSchedules) {
+TEST(EventQueueTest, RandomizedSchedulesRunInTimeThenScheduleOrder) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto heap_trace =
-        RunRandomSchedule(EventQueue::Backend::kBinaryHeap, seed);
-    const auto wheel_trace =
-        RunRandomSchedule(EventQueue::Backend::kTimingWheel, seed);
-    ASSERT_EQ(heap_trace.size(), wheel_trace.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap_trace.size(); ++i) {
-      ASSERT_EQ(heap_trace[i].when, wheel_trace[i].when)
+    RandomScheduleRun run = RunRandomSchedule(seed);
+    std::sort(run.scheduled.begin(), run.scheduled.end());
+    ASSERT_EQ(run.executed.size(), run.scheduled.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < run.executed.size(); ++i) {
+      ASSERT_EQ(run.executed[i].when, run.scheduled[i].when)
           << "seed " << seed << " event " << i;
-      ASSERT_EQ(heap_trace[i].id, wheel_trace[i].id)
+      ASSERT_EQ(run.executed[i].id, run.scheduled[i].id)
           << "seed " << seed << " event " << i;
-    }
-    // Sanity: timestamps monotone (no event ran in the past).
-    for (std::size_t i = 1; i < wheel_trace.size(); ++i) {
-      ASSERT_GE(wheel_trace[i].when, wheel_trace[i - 1].when);
     }
   }
 }
