@@ -1,8 +1,9 @@
 // Crash study: remount latency under a random power-cut schedule.
 //
 // Drives the crash harness (mixed writes / flushes / resets over
-// sequential + conventional zones) against a FaultModel cut stream:
-// exponentially distributed cut times with a configurable mean interval.
+// sequential + conventional zones) as a 1-shard ShardedRunner soak under
+// a random CutStream: exponentially distributed cut times with a
+// configurable mean interval.
 // At every scheduled cut the device loses power mid-workload, remounts,
 // and the crash-consistency checker verifies every durability invariant
 // before the workload resumes on the recovered device.
@@ -39,55 +40,34 @@ static double PercentileUs(const Log2Histogram& h, double q) {
   return 0.0;
 }
 
-// One sweep point: run kCuts scheduled cuts and return the device's
-// RecoveryStats snapshot. `with_checkpoints` toggles the durable L2P
-// image; everything else (seed, workload, cut schedule) is identical, so
-// the off/on rows differ only in how the remount rebuilds its state.
-static bool RunPoint(std::uint64_t mean_ns, bool with_checkpoints, int cuts_target,
-                     std::size_t ops_per_slice, RecoveryStats* out) {
-  ConZoneConfig cfg = ConZoneConfig::PaperConfig();
-  cfg.num_conventional_zones = 2;
-  cfg.l2p_log.enabled = true;
-  cfg.fault.power_cut_mean_interval_ns = mean_ns;  // implies power_loss
-  cfg.checkpoint.enabled = with_checkpoints;
-  cfg.checkpoint.interval_entries = 4096;
-
-  CrashHarness::Options opt;
+// One sweep point: a 1-shard soak plan that takes `cuts` scheduled cuts;
+// returns the device's RecoveryStats. `with_checkpoints` toggles the
+// durable L2P image; everything else (seed, workload, cut schedule) is
+// identical, so the off/on rows differ only in how the remount rebuilds
+// its state.
+static bool RunPoint(std::uint64_t mean_ns, bool with_checkpoints,
+                     std::uint32_t cuts, std::size_t ops_per_slice,
+                     RecoveryStats* out) {
+  ShardPlan plan;
+  plan.config = ConZoneConfig::PaperConfig();
+  plan.config.num_conventional_zones = 2;
+  plan.config.l2p_log.enabled = true;
+  plan.config.checkpoint.enabled = with_checkpoints;
+  plan.config.checkpoint.interval_entries = 4096;
+  plan.cut_schedule.cuts = cuts;
+  plan.cut_schedule.kind = CutScheduleKind::kRandomInterval;
+  plan.cut_schedule.interval_ns = mean_ns;
+  CrashHarness::Options& opt = plan.soak.emplace();
   opt.seed = 0xC4A5;
   opt.conv_prob = 0.25;
-  CrashHarness h(cfg, opt);
-  if (Status st = h.Init(); !st.ok()) {
-    std::fprintf(stderr, "init failed: %s\n", st.ToString().c_str());
+  plan.ops_per_slice = ops_per_slice;
+
+  auto res = ShardedRunner(plan).Run();
+  if (!res.ok()) {
+    std::fprintf(stderr, "soak failed: %s\n", res.status().ToString().c_str());
     return false;
   }
-
-  // The cut schedule comes from the device's own fault model so the
-  // stream is deterministic in the config seed and decorrelated from
-  // any fault draws.
-  FaultModel schedule(cfg.fault);
-  SimTime next_cut = schedule.NextCutAfter(h.now());
-  int cuts = 0;
-  while (cuts < cuts_target) {
-    if (Status st = h.RunOps(ops_per_slice); !st.ok()) {
-      std::fprintf(stderr, "workload failed: %s\n", st.ToString().c_str());
-      return false;
-    }
-    if (h.now() < next_cut) continue;  // keep running until the alarm
-    // The schedule can land inside an idle gap that ended before the
-    // last submission; PowerCut refuses to rewind, so clamp forward.
-    const SimTime at = Later(next_cut, h.last_submit());
-    if (Status st = h.CutAt(at); !st.ok()) {
-      std::fprintf(stderr, "cut failed: %s\n", st.ToString().c_str());
-      return false;
-    }
-    if (Status st = h.RecoverAndVerify(); !st.ok()) {
-      std::fprintf(stderr, "CONSISTENCY VIOLATION: %s\n", st.ToString().c_str());
-      return false;
-    }
-    ++cuts;
-    next_cut = schedule.NextCutAfter(h.now());
-  }
-  *out = h.device().recovery_stats();
+  *out = res.value().recovery;
   return true;
 }
 
@@ -95,11 +75,11 @@ int main() {
   // Mean simulated time between scheduled cuts.
   constexpr std::uint64_t kMeanIntervalsNs[] = {2'000'000, 10'000'000,
                                                 50'000'000};
-  constexpr int kCutsPerPoint = 40;
+  constexpr std::uint32_t kCutsPerPoint = 40;
   constexpr std::size_t kOpsPerSlice = 24;
 
   std::printf(
-      "crash study: %d scheduled cuts per point, mixed workload,\n"
+      "crash study: %u scheduled cuts per point, mixed workload,\n"
       "checkpointing off vs on (interval 4096 L2P-log entries)\n",
       kCutsPerPoint);
   std::printf("%-12s %8s %10s %12s %11s %11s %10s %10s\n", "interval",

@@ -1,12 +1,12 @@
 // Fleet soak study: crash/recovery at fleet scale on degrading devices.
 //
-// Runs a fleet of independent device shards on the work-stealing
-// executor. Every shard soaks the crash harness's mixed op stream under
-// ConsumerDefaults() fault rates with a wear ramp (fault probabilities
-// escalate as erase counts pass the rated endurance), a deterministic
-// per-shard random power-cut schedule, and a staggered checkpoint
-// cadence (shard i checkpoints every base << (i % levels) L2P-log
-// entries). Each cut runs the full PowerCut/Recover pipeline and the
+// Runs a fleet of independent device shards through ShardedRunner's
+// soak body on the work-stealing executor. Every shard soaks the crash
+// harness's mixed op stream under ConsumerDefaults() fault rates with a
+// wear ramp (fault probabilities escalate as erase counts pass the
+// rated endurance), a deterministic per-shard random power-cut
+// schedule, and a staggered checkpoint cadence (shard i checkpoints
+// every base << (i % levels) L2P-log entries). Each cut runs the full PowerCut/Recover pipeline and the
 // crash-consistency checker before the shard resumes; a shard that
 // degrades to read-only ends its soak early as a survivor.
 //
@@ -40,45 +40,50 @@ static double PercentileUs(const Log2Histogram& h, double q) {
 }
 
 int main(int argc, char** argv) {
-  FleetSoakPlan plan;
+  ShardPlan plan;
   plan.config = ConZoneConfig::PaperConfig();
   plan.config.num_conventional_zones = 2;
-  plan.shards = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 8;
-  plan.cuts_per_shard =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 100;
-  plan.cut_interval_ns = 10'000'000;  // 10 ms mean between cuts
-  plan.ops_per_slice = 24;
-  plan.workload.seed = 0xF1EE7;
-  plan.workload.conv_prob = 0.25;
-  plan.wear_ramp_endurance = 16;
-  plan.wear_ramp_slope = 0.02;
-  plan.checkpoint_interval_entries = 1024;
+  FaultConfig& fault = plan.config.fault;
+  fault = FaultConfig::ConsumerDefaults();
+  fault.rated_endurance = 16;  // wear ramp
+  fault.wear_slope = 0.02;
+  plan.config.l2p_log.enabled = true;
+  plan.config.checkpoint.enabled = true;
+  plan.config.checkpoint.interval_entries = 1024;
   plan.checkpoint_stagger_levels = 4;
+  plan.shards = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 8;
+  plan.cut_schedule.cuts =
+      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 100;
+  plan.cut_schedule.interval_ns = 10'000'000;  // 10 ms mean between cuts
+  CrashHarness::Options& workload = plan.soak.emplace();
+  workload.seed = 0xF1EE7;
+  workload.conv_prob = 0.25;
+  plan.ops_per_slice = 24;
   plan.master_seed = 0x50AC;
 
   std::printf(
       "fleet soak: %u shards x %u cuts, consumer faults + wear ramp "
       "(endurance %u, slope %.2f),\ncheckpoint cadence %llu entries "
       "staggered over %u levels, mean cut interval %s\n",
-      plan.shards, plan.cuts_per_shard, plan.wear_ramp_endurance,
-      plan.wear_ramp_slope,
-      static_cast<unsigned long long>(plan.checkpoint_interval_entries),
+      plan.shards, plan.cut_schedule.cuts, fault.rated_endurance,
+      fault.wear_slope,
+      static_cast<unsigned long long>(plan.config.checkpoint.interval_entries),
       plan.checkpoint_stagger_levels,
-      SimDuration::Nanos(plan.cut_interval_ns).ToString().c_str());
+      SimDuration::Nanos(plan.cut_schedule.interval_ns).ToString().c_str());
 
-  auto res = FleetSoakRunner(plan).Run();
+  auto res = ShardedRunner(plan).Run();
   if (!res.ok()) {
     std::fprintf(stderr, "fleet soak failed: %s\n",
                  res.status().ToString().c_str());
     return 1;
   }
-  const FleetSoakResult& r = res.value();
+  const ShardedResult& r = res.value();
 
   std::printf("%-6s %10s %6s %8s %8s %8s %10s %10s %10s %4s\n", "shard",
               "ckpt_ivl", "cuts", "remounts", "faults", "retired", "ckpt_hit",
               "p50(us)", "p99(us)", "ro");
-  for (const FleetShardResult& s : r.shards) {
-    const ConZoneConfig cfg = FleetSoakRunner::ConfigForShard(plan, s.shard_id);
+  for (const ShardResult& s : r.shards) {
+    const ConZoneConfig cfg = ShardedRunner::ConfigForShard(plan, s.shard_id);
     std::printf("%-6u %10llu %6u %8u %8llu %8llu %10llu %10.1f %10.1f %4s\n",
                 s.shard_id,
                 static_cast<unsigned long long>(cfg.checkpoint.interval_entries),
@@ -96,8 +101,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nfleet: cuts=%llu remounts=%llu survivors(read-only)=%u "
       "fingerprint=%016llx\n",
-      static_cast<unsigned long long>(r.total_cuts),
-      static_cast<unsigned long long>(r.total_remounts), r.read_only_shards,
+      static_cast<unsigned long long>(r.recovery.power_cuts),
+      static_cast<unsigned long long>(r.recovery.recoveries), r.read_only_shards,
       static_cast<unsigned long long>(r.fleet_fingerprint));
   std::printf(
       "  per cut: scan=%.1f skip=%.1f replay=%.1f  remount p50=%.1fus "

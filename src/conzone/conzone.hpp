@@ -38,7 +38,6 @@
 #include "host/striped_volume.hpp"     // IWYU pragma: export
 #include "legacy/legacy_device.hpp"    // IWYU pragma: export
 #include "shard/sharded_runner.hpp"    // IWYU pragma: export
-#include "soak/fleet_soak.hpp"         // IWYU pragma: export
 #include "workload/cache_workload.hpp" // IWYU pragma: export
 #include "workload/fio.hpp"            // IWYU pragma: export
 #include "zns/zone.hpp"                // IWYU pragma: export

@@ -69,7 +69,7 @@ ConZoneDevice::ConZoneDevice(const ConZoneConfig& config)
     array_.AttachFaultModel(&fault_);
     engine_.AttachReliability(&array_.mutable_reliability());
   }
-  if (cfg_.fault.PowerLossEnabled()) array_.EnableJournal(true);
+  if (cfg_.fault.power_loss) array_.EnableJournal(true);
   gc_.set_remap_hook(
       [this](Lpn lpn, Ppn old_ppn, Ppn new_ppn) { OnGcRemap(lpn, old_ppn, new_ppn); });
   if (cfg_.num_conventional_zones > 0) {

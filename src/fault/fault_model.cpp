@@ -57,14 +57,22 @@ Status FaultConfig::Validate() const {
 FaultModel::FaultModel(const FaultConfig& config)
     : cfg_(config),
       rng_(config.seed),
-      cut_rng_(MixSeeds(config.seed, 0x50C0FFEEull, 0xC07ull)),
       enabled_(config.AnyFaults()) {}
 
-SimTime FaultModel::NextCutAfter(SimTime t) {
+CutStream::CutStream(CutScheduleKind kind, std::uint64_t interval_ns,
+                     std::uint64_t seed)
+    : kind_(kind),
+      interval_ns_(interval_ns),
+      rng_(MixSeeds(seed, 0x50C0FFEEull, 0xC07ull)) {}
+
+SimTime CutStream::Next(SimTime t) {
+  if (kind_ == CutScheduleKind::kFixedInterval) {
+    return t + SimDuration::Nanos(interval_ns_);
+  }
   // Exponential inter-arrival, quantized to >= 1 ns so the schedule
   // always makes progress.
-  const double mean = static_cast<double>(cfg_.power_cut_mean_interval_ns);
-  const double u = cut_rng_.NextDouble();  // [0, 1)
+  const double mean = static_cast<double>(interval_ns_);
+  const double u = rng_.NextDouble();  // [0, 1)
   const double gap = -mean * std::log(1.0 - u);
   const std::uint64_t ns =
       gap < 1.0 ? 1ull

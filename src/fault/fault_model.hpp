@@ -28,13 +28,30 @@
 
 namespace conzone {
 
-/// How a scheduled power-cut stream spaces its cuts. Consumers (the
-/// sharded runner and the fleet soak) derive the stream deterministically
-/// from the config seed via MixSeeds, so the same plan replays the same
-/// cut times regardless of thread count.
+/// How a scheduled power-cut stream spaces its cuts.
 enum class CutScheduleKind : std::uint8_t {
   kFixedInterval,   ///< Cuts exactly every interval_ns of simulated time.
-  kRandomInterval,  ///< Exponential gaps with mean interval_ns (FaultModel).
+  kRandomInterval,  ///< Exponential gaps with mean interval_ns.
+};
+
+/// The one source of scheduled power-cut times. A pure function of
+/// (kind, interval, seed): the sharded runner derives the seed per shard
+/// with MixSeeds, so the same plan replays the same cut times regardless
+/// of thread count. The random stream owns its RNG, decorrelated from the
+/// seed's fault stream, so scheduling cuts never shifts a fault draw.
+class CutStream {
+ public:
+  CutStream(CutScheduleKind kind, std::uint64_t interval_ns,
+            std::uint64_t seed);
+
+  /// Next scheduled cut after `t`: `t + interval` (fixed) or an
+  /// exponential gap of mean `interval`, at least 1 ns (random).
+  SimTime Next(SimTime t);
+
+ private:
+  CutScheduleKind kind_;
+  std::uint64_t interval_ns_;
+  Rng rng_;
 };
 
 /// Fault probabilities for one cell class. All are per-operation
@@ -74,20 +91,10 @@ struct FaultConfig {
   /// Default: two superblocks' worth on the paper geometry (2ch x 2chips).
   std::uint32_t read_only_spare_floor_blocks = 8;
 
-  // --- Power loss ---
-  /// Enable power-loss emulation: the device journals media mutations so
+  /// Power-loss emulation: the device journals media mutations so
   /// PowerCut()/Recover() work. Orthogonal to the fault rates above —
   /// a pure power-loss config draws no fault RNG.
   bool power_loss = false;
-  /// Mean interval of a random power-cut schedule (exponential,
-  /// deterministic in `seed` via a private decorrelated stream);
-  /// 0 = no scheduled cuts. A non-zero interval implies power_loss.
-  std::uint64_t power_cut_mean_interval_ns = 0;
-
-  /// True when power-loss emulation should be active.
-  bool PowerLossEnabled() const {
-    return power_loss || power_cut_mean_interval_ns > 0;
-  }
 
   /// True when any fault class can fire — the hot-path gate.
   bool AnyFaults() const {
@@ -133,17 +140,6 @@ class FaultModel {
 
   const FaultCounters& counters() const { return counters_; }
 
-  // --- Power-cut stream ---
-  /// Whether the random cut schedule is configured.
-  bool cut_stream_enabled() const {
-    return cfg_.power_cut_mean_interval_ns > 0;
-  }
-  /// Next scheduled cut strictly after `t`, exponentially distributed
-  /// with the configured mean. Draws from a private RNG stream
-  /// (decorrelated from the fault draws) so enabling cuts does not shift
-  /// the fault sequence of an otherwise identical run.
-  SimTime NextCutAfter(SimTime t);
-
   /// The wear-coupling factor applied to every rate at this erase count:
   /// 1.0 up to rated_endurance, then 1 + wear_slope * excess. Pure —
   /// draws no randomness — so tests and studies can assert the ramp
@@ -158,7 +154,6 @@ class FaultModel {
 
   FaultConfig cfg_;
   Rng rng_{0};
-  Rng cut_rng_{0};
   FaultCounters counters_;
   bool enabled_ = false;
 };

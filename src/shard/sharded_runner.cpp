@@ -19,156 +19,174 @@ struct ShardOutcome {
   ShardResult result;
 };
 
-/// A shard's device: a bare ConZone device (members == 1, the identity
-/// path) or a striped volume over `members` ConZone devices, each with
-/// its own decorrelated config stream.
-Result<std::unique_ptr<StorageDevice>> MakeShardDevice(const ShardPlan& plan,
-                                                       std::uint32_t shard_id) {
-  const std::uint32_t members = plan.members == 0 ? 1 : plan.members;
-  if (members == 1) {
-    auto dev =
-        ConZoneDevice::Create(plan.config.ForShard(shard_id, plan.master_seed));
-    if (!dev.ok()) return dev.status();
-    return std::unique_ptr<StorageDevice>(std::move(dev).value());
+/// The template config with the plan's per-shard policy applied, before
+/// the ForShard seed derivation.
+ConZoneConfig PolicyConfig(const ShardPlan& plan, std::uint32_t shard_id) {
+  ConZoneConfig cfg = plan.config;
+  if (plan.cut_schedule.cuts > 0) cfg.fault.power_loss = true;  // undo journal
+  if (cfg.checkpoint.enabled) {
+    const std::uint32_t levels = std::max(plan.checkpoint_stagger_levels, 1u);
+    cfg.checkpoint.interval_entries <<= shard_id % levels;
   }
-  std::vector<std::unique_ptr<StorageDevice>> devs;
-  devs.reserve(members);
-  for (std::uint32_t j = 0; j < members; ++j) {
-    auto dev = ConZoneDevice::Create(
-        plan.config.ForShard(shard_id * members + j, plan.master_seed));
-    if (!dev.ok()) return dev.status();
-    devs.push_back(std::move(dev).value());
-  }
-  auto vol = StripedVolume::Create(std::move(devs), plan.volume);
-  if (!vol.ok()) return vol.status();
-  return std::unique_ptr<StorageDevice>(std::move(vol).value());
+  return cfg;
 }
 
-/// The cut-schedule path: a bare ConZone shard whose FIO workload is
-/// interleaved with full PowerCut/Recover cycles at deterministic,
-/// seed-derived times. The session pauses at each scheduled cut, the
-/// device loses power and remounts, the surviving jobs resync their
-/// cursors against the recovered write pointers, and the run continues
-/// to its normal stop conditions after the last scheduled cut.
-ShardOutcome RunOneShardWithCuts(const ShardPlan& plan, std::uint32_t shard_id) {
-  ShardOutcome out;
-  out.result.shard_id = shard_id;
-  auto fail = [&out](Status st) {
-    out.status = std::move(st);
-    return out;
-  };
-
-  if (plan.members > 1) {
-    return fail(Status::InvalidArgument(
-        "sharded runner: cut_schedule requires members == 1"));
+Status ValidatePlan(const ShardPlan& plan) {
+  if (plan.shards == 0) {
+    return Status::InvalidArgument("sharded runner: need at least one shard");
   }
-  ConZoneConfig cfg = plan.config.ForShard(shard_id, plan.master_seed);
-  cfg.fault.power_loss = true;  // cuts need the undo journal armed
-  auto devr = ConZoneDevice::Create(cfg);
-  if (!devr.ok()) return fail(devr.status());
-  ConZoneDevice& dev = **devr;
+  if (plan.jobs.empty() == !plan.soak.has_value()) {
+    return Status::InvalidArgument(
+        "sharded runner: set exactly one body, jobs or soak");
+  }
+  if (plan.cut_schedule.cuts > 0 && plan.cut_schedule.interval_ns == 0) {
+    return Status::InvalidArgument("sharded runner: cut interval must be > 0");
+  }
+  if (plan.members > 1 && (plan.soak || plan.cut_schedule.cuts > 0)) {
+    return Status::InvalidArgument(
+        "sharded runner: soak and cut_schedule require members == 1");
+  }
+  return Status::Ok();
+}
+
+/// Copy the uniform device counters into the shard's result.
+void RecordDevice(const StorageDevice& dev, ShardResult& r) {
+  r.reliability = dev.Reliability();
+  r.recovery = dev.Recovery();
+  r.device = dev.Stats();
+}
+
+/// The FIO body. A shard's device is a bare ConZone device (members ==
+/// 1, the identity path) or a striped volume over `members` ConZone
+/// devices, each with its own decorrelated config stream. With a cut
+/// schedule the session pauses at each scheduled cut, the device loses
+/// power and remounts, the surviving jobs resync their cursors against
+/// the recovered write pointers, and the run continues to its normal
+/// stop conditions after the last cut. Without one, Begin + RunAll +
+/// Finish is exactly FioRunner::Run.
+Status RunFioShard(const ShardPlan& plan, std::uint32_t shard_id,
+                   ShardResult& r) {
+  const ConZoneConfig cfg = ShardedRunner::ConfigForShard(plan, shard_id);
+  std::unique_ptr<StorageDevice> dev;
+  ConZoneDevice* bare = nullptr;  // the cut loop needs the concrete device
+  if (plan.members <= 1) {
+    auto created = ConZoneDevice::Create(cfg);
+    if (!created.ok()) return created.status();
+    bare = created.value().get();
+    dev = std::move(created).value();
+  } else {
+    const ConZoneConfig base = PolicyConfig(plan, shard_id);
+    std::vector<std::unique_ptr<StorageDevice>> devs;
+    devs.reserve(plan.members);
+    for (std::uint32_t j = 0; j < plan.members; ++j) {
+      auto member = ConZoneDevice::Create(
+          base.ForShard(shard_id * plan.members + j, plan.master_seed));
+      if (!member.ok()) return member.status();
+      devs.push_back(std::move(member).value());
+    }
+    auto vol = StripedVolume::Create(std::move(devs), plan.volume);
+    if (!vol.ok()) return vol.status();
+    dev = std::move(vol).value();
+  }
 
   SimTime start = SimTime::Zero();
   if (plan.precondition_bytes > 0) {
-    Status st = FioRunner::Precondition(dev, 0, plan.precondition_bytes,
-                                        512 * kKiB, &start);
-    if (!st.ok()) return fail(std::move(st));
+    if (Status st = FioRunner::Precondition(*dev, 0, plan.precondition_bytes,
+                                            512 * kKiB, &start);
+        !st.ok()) {
+      return st;
+    }
   }
 
-  FioRunner fio(dev);
+  FioRunner fio(*dev);
   FioRunner::Session session(fio, ShardedRunner::JobsForShard(plan, shard_id),
                              start);
-  if (Status st = session.Begin(); !st.ok()) return fail(std::move(st));
+  if (Status st = session.Begin(); !st.ok()) return st;
 
-  // The cut stream is a pure function of the shard's derived fault seed:
-  // fixed intervals need no randomness; random intervals ride
-  // FaultModel's decorrelated cut stream (same derivation a device-side
-  // schedule would use, so shard 0 matches a single-device run of the
-  // template config).
-  const std::uint64_t interval = plan.cut_schedule.interval_ns;
-  FaultModel schedule;
-  if (plan.cut_schedule.kind == CutScheduleKind::kRandomInterval) {
-    FaultConfig sc;
-    sc.seed = cfg.fault.seed;
-    sc.power_cut_mean_interval_ns = interval;
-    schedule = FaultModel(sc);
-  }
-  auto next_cut_after = [&](SimTime t) {
-    return plan.cut_schedule.kind == CutScheduleKind::kRandomInterval
-               ? schedule.NextCutAfter(t)
-               : t + SimDuration::Nanos(interval);
+  CutStream cuts(plan.cut_schedule.kind, plan.cut_schedule.interval_ns,
+                 cfg.fault.seed);
+  auto wp_of = [bare](std::uint64_t z) -> Result<std::uint64_t> {
+    return bare->zones().Info(ZoneId{z}).write_pointer;
   };
-  auto wp_of = [&dev](std::uint64_t z) -> Result<std::uint64_t> {
-    return dev.zones().Info(ZoneId{z}).write_pointer;
-  };
-
-  SimTime next_cut = next_cut_after(start);
-  for (std::uint32_t cut = 0; cut < plan.cut_schedule.cuts; ++cut) {
-    if (Status st = session.RunUntil(next_cut); !st.ok()) {
-      return fail(std::move(st));
-    }
+  SimTime next_cut = cuts.Next(start);
+  while (r.cuts < plan.cut_schedule.cuts) {
+    if (Status st = session.RunUntil(next_cut); !st.ok()) return st;
     if (session.done()) break;  // workload finished before the schedule
     // Issue chains can submit past the pause point (zone resets on wrap
     // advance the submission clock); PowerCut refuses to rewind, so
     // clamp forward.
-    const SimTime at = Later(next_cut, dev.last_submit());
-    if (Status st = dev.PowerCut(at); !st.ok()) return fail(std::move(st));
-    auto rec = dev.Recover(at);
-    if (!rec.ok()) return fail(rec.status());
+    const SimTime at = Later(next_cut, bare->last_submit());
+    if (Status st = bare->PowerCut(at); !st.ok()) return st;
+    ++r.cuts;
+    auto rec = bare->Recover(at);
+    if (!rec.ok()) return rec.status();
+    ++r.remounts;
     auto resumed = session.Resume(rec.value(), wp_of);
-    if (!resumed.ok()) return fail(resumed.status());
-    next_cut = next_cut_after(resumed.value());
+    if (!resumed.ok()) return resumed.status();
+    next_cut = cuts.Next(resumed.value());
   }
 
-  if (Status st = session.RunAll(); !st.ok()) return fail(std::move(st));
+  if (Status st = session.RunAll(); !st.ok()) return st;
   auto run = session.Finish();
-  if (!run.ok()) return fail(run.status());
-  out.result.run = std::move(run).value();
-  out.result.reliability = dev.Reliability();
-  out.result.recovery = dev.Recovery();
-  out.result.device = dev.Stats();
-  return out;
+  if (!run.ok()) return run.status();
+  r.run = std::move(run).value();
+  RecordDevice(*dev, r);
+  return Status::Ok();
 }
 
-ShardOutcome RunOneShard(const ShardPlan& plan, std::uint32_t shard_id) {
-  if (plan.cut_schedule.cuts > 0) return RunOneShardWithCuts(plan, shard_id);
+/// The soak body: workload slices between scheduled cuts, each cut
+/// followed by the full remount pipeline and the consistency checker.
+Status RunSoakShard(const ShardPlan& plan, std::uint32_t shard_id,
+                    ShardResult& r) {
+  const ConZoneConfig cfg = ShardedRunner::ConfigForShard(plan, shard_id);
+  CrashHarness h(cfg, ShardedRunner::WorkloadForShard(plan, shard_id));
+  if (Status st = h.Init(); !st.ok()) return st;
 
-  ShardOutcome out;
-  out.result.shard_id = shard_id;
-
-  auto devr = MakeShardDevice(plan, shard_id);
-  if (!devr.ok()) {
-    out.status = devr.status();
-    return out;
-  }
-  StorageDevice& dev = **devr;
-
-  SimTime start = SimTime::Zero();
-  if (plan.precondition_bytes > 0) {
-    Status st = FioRunner::Precondition(dev, 0, plan.precondition_bytes,
-                                        512 * kKiB, &start);
-    if (!st.ok()) {
-      out.status = std::move(st);
-      return out;
+  CutStream cuts(plan.cut_schedule.kind, plan.cut_schedule.interval_ns,
+                 cfg.fault.seed);
+  const std::size_t slice = std::max<std::size_t>(plan.ops_per_slice, 1);
+  SimTime next_cut = cuts.Next(h.now());
+  while (r.cuts < plan.cut_schedule.cuts) {
+    if (Status st = h.RunOps(slice); !st.ok()) {
+      // Degraded-shard policy: a device that latched read-only cannot
+      // run the write-heavy stream any further — a survivor, not a
+      // failure. Anything else is genuine.
+      if (h.device().read_only()) break;
+      return st;
     }
+    r.run.total.ops += slice;
+    if (h.now() < next_cut) continue;  // keep running until the alarm
+    // The alarm can land inside an idle gap that ended before the last
+    // submission; PowerCut refuses to rewind, so clamp forward.
+    if (Status st = h.CutAt(Later(next_cut, h.last_submit())); !st.ok()) {
+      return st;
+    }
+    ++r.cuts;
+    // Remount + full crash-consistency verification before the shard
+    // resumes. A violation here is the soak's whole point of failure.
+    if (Status st = h.RecoverAndVerify(); !st.ok()) return st;
+    ++r.remounts;
+    ++r.checker_passes;
+    next_cut = cuts.Next(h.now());
   }
 
-  FioRunner fio(dev);
-  auto run = fio.Run(ShardedRunner::JobsForShard(plan, shard_id), start);
-  if (!run.ok()) {
-    out.status = run.status();
-    return out;
-  }
-  out.result.run = std::move(run).value();
-  out.result.reliability = dev.Reliability();
-  out.result.recovery = dev.Recovery();
-  out.result.device = dev.Stats();
-  return out;
+  r.read_only = h.device().read_only();
+  r.fingerprint = h.fingerprint();
+  r.run.end_time = h.now();
+  RecordDevice(h.device(), r);
+  return Status::Ok();
 }
 
 }  // namespace
 
 ShardedRunner::ShardedRunner(ShardPlan plan) : plan_(std::move(plan)) {}
+
+ConZoneConfig ShardedRunner::ConfigForShard(const ShardPlan& plan,
+                                            std::uint32_t shard_id) {
+  // Seed derivation last: identity at shard 0, decorrelated fault
+  // stream elsewhere.
+  return PolicyConfig(plan, shard_id).ForShard(shard_id, plan.master_seed);
+}
 
 std::vector<JobSpec> ShardedRunner::JobsForShard(const ShardPlan& plan,
                                                  std::uint32_t shard_id) {
@@ -182,10 +200,17 @@ std::vector<JobSpec> ShardedRunner::JobsForShard(const ShardPlan& plan,
   return jobs;
 }
 
-Result<ShardedResult> ShardedRunner::Run() {
-  if (plan_.shards == 0) {
-    return Status::InvalidArgument("sharded runner: need at least one shard");
+CrashHarness::Options ShardedRunner::WorkloadForShard(const ShardPlan& plan,
+                                                      std::uint32_t shard_id) {
+  CrashHarness::Options o = plan.soak.value_or(CrashHarness::Options{});
+  if (shard_id != 0) {  // identity: shard 0 == the single-device soak
+    o.seed = MixSeeds(o.seed, plan.master_seed, shard_id);
   }
+  return o;
+}
+
+Result<ShardedResult> ShardedRunner::Run() {
+  if (Status st = ValidatePlan(plan_); !st.ok()) return st;
   const std::uint32_t shards = plan_.shards;
   std::uint32_t threads = plan_.threads;
   if (threads == 0) {
@@ -201,7 +226,10 @@ Result<ShardedResult> ShardedRunner::Run() {
   // preallocated slot and the merge below happens after the join
   // barrier, in shard-id order, so the merge never sees that.
   auto shard_task = [&](std::size_t id) {
-    outcomes[id] = RunOneShard(plan_, static_cast<std::uint32_t>(id));
+    ShardOutcome& out = outcomes[id];
+    out.result.shard_id = static_cast<std::uint32_t>(id);
+    out.status = plan_.soak ? RunSoakShard(plan_, out.result.shard_id, out.result)
+                            : RunFioShard(plan_, out.result.shard_id, out.result);
   };
   if (plan_.executor != nullptr) {
     plan_.executor->Run(shards, shard_task);
@@ -221,6 +249,8 @@ Result<ShardedResult> ShardedRunner::Run() {
   ShardedResult merged;
   merged.shards.reserve(shards);
   SimDuration longest;
+  std::uint64_t fp = 0xCBF29CE484222325ull;
+  auto mix = [&fp](std::uint64_t v) { fp = (fp ^ v) * 0x100000001B3ull; };
   for (std::uint32_t i = 0; i < shards; ++i) {
     ShardResult& s = outcomes[i].result;
     merged.total.bytes += s.run.total.bytes;
@@ -229,12 +259,19 @@ Result<ShardedResult> ShardedRunner::Run() {
     merged.latency.Merge(s.run.latency);
     merged.reliability.Merge(s.reliability);
     merged.recovery.Merge(s.recovery);
+    merged.device.Merge(s.device);
     merged.events += s.run.events;
     merged.io_errors += s.run.io_errors;
     merged.end_time = std::max(merged.end_time, s.run.end_time);
+    merged.read_only_shards += s.read_only ? 1u : 0u;
+    mix(s.shard_id);
+    mix(s.fingerprint);
+    mix(s.cuts);
+    mix(s.run.end_time.ns());
     merged.shards.push_back(std::move(s));
   }
   merged.total.elapsed = longest;
+  merged.fleet_fingerprint = fp;
   return merged;
 }
 

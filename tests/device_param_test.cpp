@@ -121,6 +121,8 @@ struct DeterminismCase {
   std::uint64_t block;
 };
 
+void PrintTo(const DeterminismCase& p, std::ostream* os) { *os << p.name; }
+
 class DeterminismTest : public ::testing::TestWithParam<DeterminismCase> {};
 
 TEST_P(DeterminismTest, IdenticalRunsProduceIdenticalTimelines) {

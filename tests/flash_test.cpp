@@ -76,6 +76,8 @@ struct BadGeometryCase {
   void (*mutate)(FlashGeometry&);
 };
 
+void PrintTo(const BadGeometryCase& p, std::ostream* os) { *os << p.name; }
+
 class GeometryValidationTest : public ::testing::TestWithParam<BadGeometryCase> {};
 
 TEST_P(GeometryValidationTest, RejectsInvalidConfig) {

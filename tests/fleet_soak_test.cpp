@@ -1,11 +1,13 @@
-// Fleet-scale crash/recovery soak tests (DESIGN.md §13).
+// Fleet-scale crash/recovery soak tests (DESIGN.md §13): the soak body
+// of ShardedRunner.
 //
 //   * Thread-count invariance: the merged fleet result — every per-shard
 //     counter, fingerprint, and histogram — is bit-identical whether the
 //     shards run on 1, 2, 4 or 8 worker threads.
 //   * Shard-0 identity: shard 0 of a fleet soak reproduces, bit for bit,
 //     a hand-rolled single-device CrashHarness soak of
-//     ConfigForShard(plan, 0) under WorkloadForShard(plan, 0).
+//     ConfigForShard(plan, 0) under WorkloadForShard(plan, 0), cut by
+//     the same CutStream.
 //   * Every scheduled cut remounts and passes the crash-consistency
 //     checker (remounts == checker_passes == cuts).
 //   * The wear ramp is monotone and actually escalates fault pressure.
@@ -31,17 +33,24 @@ ConZoneConfig SmallConfig() {
   return cfg;
 }
 
-FleetSoakPlan SmallPlan(std::uint32_t shards, std::uint32_t cuts) {
-  FleetSoakPlan plan;
+// ConsumerDefaults rates with a wear ramp, checkpoints on a staggered
+// cadence, random cuts: the soak's documented regime.
+ShardPlan SmallPlan(std::uint32_t shards, std::uint32_t cuts) {
+  ShardPlan plan;
   plan.config = SmallConfig();
-  plan.shards = shards;
-  plan.cuts_per_shard = cuts;
-  plan.cut_interval_ns = 2'000'000;  // 2 ms mean: several slices per gap
-  plan.ops_per_slice = 8;
-  plan.wear_ramp_endurance = 4;  // small blocks cycle fast; ramp engages
-  plan.wear_ramp_slope = 0.05;
-  plan.checkpoint_interval_entries = 256;
+  plan.config.fault = FaultConfig::ConsumerDefaults();
+  plan.config.fault.read_only_spare_floor_blocks = 0;
+  plan.config.fault.rated_endurance = 4;  // small blocks cycle fast; ramp engages
+  plan.config.fault.wear_slope = 0.05;
+  plan.config.l2p_log.enabled = true;
+  plan.config.checkpoint.enabled = true;
+  plan.config.checkpoint.interval_entries = 256;
   plan.checkpoint_stagger_levels = 3;
+  plan.shards = shards;
+  plan.cut_schedule.cuts = cuts;
+  plan.cut_schedule.interval_ns = 2'000'000;  // 2 ms mean: several slices per gap
+  plan.soak = CrashHarness::Options{};
+  plan.ops_per_slice = 8;
   plan.master_seed = 2026;
   return plan;
 }
@@ -49,31 +58,28 @@ FleetSoakPlan SmallPlan(std::uint32_t shards, std::uint32_t cuts) {
 // Every simulated quantity that could expose a determinism leak, as one
 // comparable string. Timestamps in exact nanoseconds — "bit-identical"
 // means bit-identical.
-std::string Fingerprint(const FleetShardResult& s) {
+std::string Fingerprint(const ShardResult& s) {
   std::ostringstream os;
-  os << "shard=" << s.shard_id << " ops=" << s.ops << " cuts=" << s.cuts
+  os << "shard=" << s.shard_id << " ops=" << s.run.total.ops << " cuts=" << s.cuts
      << " remounts=" << s.remounts << " checks=" << s.checker_passes
      << " ro=" << s.read_only << " fp=" << s.fingerprint
-     << " end=" << s.end_time.ns() << " rec={" << s.recovery.Summary() << "}"
+     << " end=" << s.run.end_time.ns() << " rec={" << s.recovery.Summary() << "}"
      << " remount_hist={" << s.recovery.remount_hist.Summary() << "}"
      << " ckpt_age_hist={" << s.recovery.checkpoint_age_hist.Summary() << "}"
      << " rel={" << s.reliability.Summary() << "}"
-     << " red={" << s.redundancy.Summary() << "}"
      << " waf=" << s.device.WriteAmplification()
      << " flash=" << s.device.flash_bytes_written
      << " resets=" << s.device.zone_resets;
   return os.str();
 }
 
-std::string Fingerprint(const FleetSoakResult& r) {
+std::string Fingerprint(const ShardedResult& r) {
   std::ostringstream os;
-  for (const FleetShardResult& s : r.shards) os << Fingerprint(s) << "\n";
-  os << "fleet fp=" << r.fleet_fingerprint << " ops=" << r.total_ops
-     << " cuts=" << r.total_cuts << " remounts=" << r.total_remounts
+  for (const ShardResult& s : r.shards) os << Fingerprint(s) << "\n";
+  os << "fleet fp=" << r.fleet_fingerprint << " ops=" << r.total.ops
      << " ro_shards=" << r.read_only_shards << " end=" << r.end_time.ns()
      << " rec={" << r.recovery.Summary() << "}"
      << " rel={" << r.reliability.Summary() << "}"
-     << " red={" << r.redundancy.Summary() << "}"
      << " flash=" << r.device.flash_bytes_written;
   return os.str();
 }
@@ -81,9 +87,9 @@ std::string Fingerprint(const FleetSoakResult& r) {
 TEST(FleetSoakTest, MergedStatsIdenticalForAnyThreadCount) {
   std::string reference;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    FleetSoakPlan plan = SmallPlan(/*shards=*/4, /*cuts=*/5);
+    ShardPlan plan = SmallPlan(/*shards=*/4, /*cuts=*/5);
     plan.threads = threads;
-    auto res = FleetSoakRunner(plan).Run();
+    auto res = ShardedRunner(plan).Run();
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     const std::string fp = Fingerprint(res.value());
     if (reference.empty()) {
@@ -95,14 +101,14 @@ TEST(FleetSoakTest, MergedStatsIdenticalForAnyThreadCount) {
 }
 
 TEST(FleetSoakTest, RunsOnACallerProvidedExecutor) {
-  FleetSoakPlan plan = SmallPlan(/*shards=*/3, /*cuts=*/3);
+  ShardPlan plan = SmallPlan(/*shards=*/3, /*cuts=*/3);
   plan.threads = 1;
-  auto serial = FleetSoakRunner(plan).Run();
+  auto serial = ShardedRunner(plan).Run();
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
   WorkStealingExecutor exec(3);
   plan.executor = &exec;
-  auto shared = FleetSoakRunner(plan).Run();
+  auto shared = ShardedRunner(plan).Run();
   ASSERT_TRUE(shared.ok()) << shared.status().ToString();
   EXPECT_EQ(Fingerprint(shared.value()), Fingerprint(serial.value()));
 }
@@ -111,43 +117,40 @@ TEST(FleetSoakTest, RunsOnACallerProvidedExecutor) {
 // and WorkloadForShard(plan, 0) through a plain single-device harness
 // loop — the examples/crash_study shape — reproduces it bit for bit.
 TEST(FleetSoakTest, ShardZeroMatchesSingleDeviceSoak) {
-  const FleetSoakPlan plan = SmallPlan(/*shards=*/3, /*cuts=*/4);
-  auto fleet = FleetSoakRunner(plan).Run();
+  const ShardPlan plan = SmallPlan(/*shards=*/3, /*cuts=*/4);
+  auto fleet = ShardedRunner(plan).Run();
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   ASSERT_EQ(fleet.value().shards.size(), 3u);
 
-  const ConZoneConfig cfg = FleetSoakRunner::ConfigForShard(plan, 0);
+  const ConZoneConfig cfg = ShardedRunner::ConfigForShard(plan, 0);
   // Identity: shard 0 keeps the template's fault seed and workload seed.
   EXPECT_EQ(cfg.fault.seed, plan.config.fault.seed);
-  EXPECT_EQ(FleetSoakRunner::WorkloadForShard(plan, 0).seed,
-            plan.workload.seed);
+  EXPECT_EQ(ShardedRunner::WorkloadForShard(plan, 0).seed, plan.soak->seed);
 
-  CrashHarness h(cfg, FleetSoakRunner::WorkloadForShard(plan, 0));
+  CrashHarness h(cfg, ShardedRunner::WorkloadForShard(plan, 0));
   ASSERT_TRUE(h.Init().ok());
-  FaultConfig sc;
-  sc.seed = cfg.fault.seed;
-  sc.power_cut_mean_interval_ns = plan.cut_interval_ns;
-  FaultModel schedule(sc);
+  CutStream schedule(plan.cut_schedule.kind, plan.cut_schedule.interval_ns,
+                     cfg.fault.seed);
 
-  FleetShardResult manual;
-  SimTime next_cut = schedule.NextCutAfter(h.now());
-  while (manual.cuts < plan.cuts_per_shard) {
+  ShardResult manual;
+  SimTime next_cut = schedule.Next(h.now());
+  while (manual.cuts < plan.cut_schedule.cuts) {
     if (Status st = h.RunOps(plan.ops_per_slice); !st.ok()) {
       ASSERT_TRUE(h.device().read_only()) << st.ToString();
       break;
     }
-    manual.ops += plan.ops_per_slice;
+    manual.run.total.ops += plan.ops_per_slice;
     if (h.now() < next_cut) continue;
     ASSERT_TRUE(h.CutAt(Later(next_cut, h.last_submit())).ok());
     ++manual.cuts;
     ASSERT_TRUE(h.RecoverAndVerify().ok());
     ++manual.remounts;
     ++manual.checker_passes;
-    next_cut = schedule.NextCutAfter(h.now());
+    next_cut = schedule.Next(h.now());
   }
   manual.read_only = h.device().read_only();
   manual.fingerprint = h.fingerprint();
-  manual.end_time = h.now();
+  manual.run.end_time = h.now();
   manual.recovery = h.device().Recovery();
   manual.reliability = h.device().Reliability();
   manual.device = h.device().Stats();
@@ -156,11 +159,11 @@ TEST(FleetSoakTest, ShardZeroMatchesSingleDeviceSoak) {
 }
 
 TEST(FleetSoakTest, EveryRemountPassesTheChecker) {
-  auto res = FleetSoakRunner(SmallPlan(/*shards=*/4, /*cuts=*/5)).Run();
+  auto res = ShardedRunner(SmallPlan(/*shards=*/4, /*cuts=*/5)).Run();
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  const FleetSoakResult& r = res.value();
+  const ShardedResult& r = res.value();
   std::uint64_t cuts = 0, remounts = 0;
-  for (const FleetShardResult& s : r.shards) {
+  for (const ShardResult& s : r.shards) {
     // Every cut the shard took was remounted and verified before its
     // workload resumed; a shard that is not a read-only survivor took
     // its full quota.
@@ -174,8 +177,6 @@ TEST(FleetSoakTest, EveryRemountPassesTheChecker) {
     cuts += s.cuts;
     remounts += s.remounts;
   }
-  EXPECT_EQ(r.total_cuts, cuts);
-  EXPECT_EQ(r.total_remounts, remounts);
   EXPECT_EQ(r.recovery.power_cuts, cuts);
   EXPECT_EQ(r.recovery.recoveries, remounts);
   // The staggered checkpoint cadence actually wrote images somewhere in
@@ -193,46 +194,55 @@ TEST(FleetSoakTest, EveryRemountPassesTheChecker) {
 // journal stamping plus reclaiming SLC headroom before the fold's
 // read-back keeps every remount on this stream consistent.
 TEST(FleetSoakTest, FoldRedriveUnderGcPressureKeepsDurableData) {
-  FleetSoakPlan plan = SmallPlan(/*shards=*/1, /*cuts=*/47);
-  plan.wear_ramp_endurance = 0;
-  plan.consumer_faults = false;  // repeated cuts alone skew the reserved blocks
-  auto res = FleetSoakRunner(plan).Run();
+  ShardPlan plan = SmallPlan(/*shards=*/1, /*cuts=*/47);
+  // The template's own zero rates and no wear ramp: repeated cuts alone
+  // skew the reserved blocks.
+  plan.config.fault = SmallConfig().fault;
+  auto res = ShardedRunner(plan).Run();
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  const FleetShardResult& s = res.value().shards[0];
+  const ShardResult& s = res.value().shards[0];
   EXPECT_EQ(s.cuts, 47u);
   EXPECT_EQ(s.remounts, 47u);
   EXPECT_EQ(s.checker_passes, 47u);
 }
 
 TEST(FleetSoakTest, ConfigForShardAppliesFleetPolicy) {
-  const FleetSoakPlan plan = SmallPlan(/*shards=*/6, /*cuts=*/1);
-  const FaultConfig consumer = FaultConfig::ConsumerDefaults();
+  const ShardPlan plan = SmallPlan(/*shards=*/6, /*cuts=*/1);
+  ASSERT_FALSE(plan.config.fault.power_loss);
   for (std::uint32_t i = 0; i < plan.shards; ++i) {
-    const ConZoneConfig cfg = FleetSoakRunner::ConfigForShard(plan, i);
-    // ConsumerDefaults rates, template floor, wear ramp, journaling on.
-    EXPECT_EQ(cfg.fault.slc.program_fail, consumer.slc.program_fail);
-    EXPECT_EQ(cfg.fault.normal.read_retry, consumer.normal.read_retry);
+    const ConZoneConfig cfg = ShardedRunner::ConfigForShard(plan, i);
+    // The template's rates, floor and wear ramp pass through untouched.
+    EXPECT_EQ(cfg.fault.slc.program_fail, plan.config.fault.slc.program_fail);
+    EXPECT_EQ(cfg.fault.normal.read_retry, plan.config.fault.normal.read_retry);
     EXPECT_EQ(cfg.fault.read_only_spare_floor_blocks, 0u);
-    EXPECT_EQ(cfg.fault.rated_endurance, plan.wear_ramp_endurance);
-    EXPECT_EQ(cfg.fault.wear_slope, plan.wear_ramp_slope);
+    EXPECT_EQ(cfg.fault.rated_endurance, plan.config.fault.rated_endurance);
+    EXPECT_EQ(cfg.fault.wear_slope, plan.config.fault.wear_slope);
+    // Scheduled cuts force journaling on.
     EXPECT_TRUE(cfg.fault.power_loss);
     EXPECT_TRUE(cfg.l2p_log.enabled);
     EXPECT_TRUE(cfg.checkpoint.enabled);
-    // Staggered cadence: base << (i % levels).
+    // Staggered cadence: template interval << (i % levels).
     EXPECT_EQ(cfg.checkpoint.interval_entries,
-              plan.checkpoint_interval_entries
+              plan.config.checkpoint.interval_entries
                   << (i % plan.checkpoint_stagger_levels));
     EXPECT_TRUE(cfg.Validate().ok());
   }
+  // No cuts, no forced journaling; no template checkpoints, no stagger.
+  ShardPlan quiet = plan;
+  quiet.cut_schedule.cuts = 0;
+  quiet.config.checkpoint.enabled = false;
+  EXPECT_FALSE(ShardedRunner::ConfigForShard(quiet, 1).fault.power_loss);
+  EXPECT_EQ(ShardedRunner::ConfigForShard(quiet, 1).checkpoint.interval_entries,
+            plan.config.checkpoint.interval_entries);
   // Seed derivation: identity at shard 0, decorrelated beyond.
-  EXPECT_EQ(FleetSoakRunner::ConfigForShard(plan, 0).fault.seed,
+  EXPECT_EQ(ShardedRunner::ConfigForShard(plan, 0).fault.seed,
             plan.config.fault.seed);
-  EXPECT_NE(FleetSoakRunner::ConfigForShard(plan, 1).fault.seed,
+  EXPECT_NE(ShardedRunner::ConfigForShard(plan, 1).fault.seed,
             plan.config.fault.seed);
-  EXPECT_NE(FleetSoakRunner::ConfigForShard(plan, 1).fault.seed,
-            FleetSoakRunner::ConfigForShard(plan, 2).fault.seed);
-  EXPECT_NE(FleetSoakRunner::WorkloadForShard(plan, 1).seed,
-            FleetSoakRunner::WorkloadForShard(plan, 2).seed);
+  EXPECT_NE(ShardedRunner::ConfigForShard(plan, 1).fault.seed,
+            ShardedRunner::ConfigForShard(plan, 2).fault.seed);
+  EXPECT_NE(ShardedRunner::WorkloadForShard(plan, 1).seed,
+            ShardedRunner::WorkloadForShard(plan, 2).seed);
 }
 
 TEST(WearRampTest, MultiplierIsMonotoneAndPure) {
@@ -262,17 +272,18 @@ TEST(WearRampTest, MultiplierIsMonotoneAndPure) {
 TEST(WearRampTest, RampEscalatesFaultPressure) {
   // Reset-heavy mix so erase counts actually climb past the tiny rated
   // endurance within the soak.
-  FleetSoakPlan ramped = SmallPlan(/*shards=*/1, /*cuts=*/12);
-  ramped.workload.reset_prob = 0.3;
-  ramped.wear_ramp_endurance = 1;
-  ramped.wear_ramp_slope = 2.0;
+  ShardPlan ramped = SmallPlan(/*shards=*/1, /*cuts=*/12);
+  ramped.soak->reset_prob = 0.3;
+  ramped.config.fault.rated_endurance = 1;
+  ramped.config.fault.wear_slope = 2.0;
 
-  FleetSoakPlan flat = SmallPlan(/*shards=*/1, /*cuts=*/12);
-  flat.workload.reset_prob = 0.3;
-  flat.wear_ramp_endurance = 0;  // leave the template (no wear coupling)
+  ShardPlan flat = SmallPlan(/*shards=*/1, /*cuts=*/12);
+  flat.soak->reset_prob = 0.3;
+  flat.config.fault.rated_endurance = 0;  // no wear coupling
+  flat.config.fault.wear_slope = 0.0;
 
-  auto rr = FleetSoakRunner(ramped).Run();
-  auto fr = FleetSoakRunner(flat).Run();
+  auto rr = ShardedRunner(ramped).Run();
+  auto fr = ShardedRunner(flat).Run();
   ASSERT_TRUE(rr.ok()) << rr.status().ToString();
   ASSERT_TRUE(fr.ok()) << fr.status().ToString();
   EXPECT_GT(rr.value().reliability.TotalFaults(),
@@ -282,28 +293,28 @@ TEST(WearRampTest, RampEscalatesFaultPressure) {
 // A shard whose device latches read-only (healthy-spare floor) ends its
 // soak early as a survivor: reported in read_only_shards, never fatal.
 TEST(FleetSoakTest, ReadOnlyShardIsASurvivorNotAFailure) {
-  FleetSoakPlan plan = SmallPlan(/*shards=*/2, /*cuts=*/4);
+  ShardPlan plan = SmallPlan(/*shards=*/2, /*cuts=*/4);
   // A floor no small device can satisfy: the first write trips the latch.
   plan.config.fault.read_only_spare_floor_blocks = 1'000'000;
-  auto res = FleetSoakRunner(plan).Run();
+  auto res = ShardedRunner(plan).Run();
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res.value().read_only_shards, 2u);
-  for (const FleetShardResult& s : res.value().shards) {
+  for (const ShardResult& s : res.value().shards) {
     EXPECT_TRUE(s.read_only);
-    EXPECT_LT(s.cuts, plan.cuts_per_shard);  // ended early
+    EXPECT_LT(s.cuts, plan.cut_schedule.cuts);  // ended early
   }
 }
 
 TEST(FleetSoakTest, ZeroShardsIsAnError) {
-  FleetSoakPlan plan = SmallPlan(1, 1);
+  ShardPlan plan = SmallPlan(1, 1);
   plan.shards = 0;
-  EXPECT_FALSE(FleetSoakRunner(plan).Run().ok());
+  EXPECT_FALSE(ShardedRunner(plan).Run().ok());
 }
 
 TEST(FleetSoakTest, ZeroCutIntervalIsAnError) {
-  FleetSoakPlan plan = SmallPlan(1, 1);
-  plan.cut_interval_ns = 0;
-  EXPECT_FALSE(FleetSoakRunner(plan).Run().ok());
+  ShardPlan plan = SmallPlan(1, 1);
+  plan.cut_schedule.interval_ns = 0;
+  EXPECT_FALSE(ShardedRunner(plan).Run().ok());
 }
 
 // Opt-in long soak: the ISSUE-9 acceptance run. >= 8 shards x >= 100
@@ -313,19 +324,19 @@ TEST(FleetSoakTest, LongFleetSoak) {
   if (std::getenv("CONZONE_FLEET_SOAK") == nullptr) {
     GTEST_SKIP() << "set CONZONE_FLEET_SOAK=1 to run the long fleet soak";
   }
-  FleetSoakPlan plan = SmallPlan(/*shards=*/8, /*cuts=*/100);
+  ShardPlan plan = SmallPlan(/*shards=*/8, /*cuts=*/100);
   std::string reference;
   for (const std::uint32_t threads : {1u, 8u}) {
     plan.threads = threads;
-    auto res = FleetSoakRunner(plan).Run();
+    auto res = ShardedRunner(plan).Run();
     ASSERT_TRUE(res.ok()) << res.status().ToString();
-    const FleetSoakResult& r = res.value();
-    for (const FleetShardResult& s : r.shards) {
+    const ShardedResult& r = res.value();
+    for (const ShardResult& s : r.shards) {
       EXPECT_EQ(s.checker_passes, s.remounts) << "shard " << s.shard_id;
       EXPECT_EQ(s.remounts, s.cuts) << "shard " << s.shard_id;
-      if (!s.read_only) EXPECT_EQ(s.cuts, plan.cuts_per_shard);
+      if (!s.read_only) EXPECT_EQ(s.cuts, plan.cut_schedule.cuts);
     }
-    EXPECT_GE(r.total_cuts, 100u);
+    EXPECT_GE(r.recovery.power_cuts, 100u);
     EXPECT_GT(r.recovery.checkpoints_written, 0u);
     const std::string fp = Fingerprint(r);
     if (reference.empty()) {

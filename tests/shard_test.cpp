@@ -235,6 +235,26 @@ TEST(ShardedRunnerTest, CutScheduleRejectsMultiMemberShards) {
   EXPECT_FALSE(res.ok());
 }
 
+// A plan runs exactly one body: FIO jobs or the crash-harness soak. The
+// soak, like a cut schedule, drives a bare device.
+TEST(ShardedRunnerTest, PlanNeedsExactlyOneBody) {
+  ShardPlan both = MakePlan(false, 1, 1);
+  both.soak = CrashHarness::Options{};
+  EXPECT_EQ(ShardedRunner(both).Run().status().code(),
+            StatusCode::kInvalidArgument);
+
+  ShardPlan neither = MakePlan(false, 1, 1);
+  neither.jobs.clear();
+  EXPECT_EQ(ShardedRunner(neither).Run().status().code(),
+            StatusCode::kInvalidArgument);
+
+  ShardPlan striped_soak = neither;
+  striped_soak.soak = CrashHarness::Options{};
+  striped_soak.members = 2;
+  EXPECT_EQ(ShardedRunner(striped_soak).Run().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ShardedRunnerTest, ZeroShardsIsAnError) {
   ShardPlan plan = MakePlan(false, 1, 1);
   plan.shards = 0;
