@@ -3,23 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/executor.hpp"
-
 namespace conzone {
-
-namespace {
-/// Fan a batch of member sub-ops out: on `exec` when it can actually
-/// parallelize, inline otherwise. Each task owns disjoint state; the
-/// caller merges the per-task slots in submission order afterwards.
-template <class F>
-void FanOut(Executor* exec, std::size_t n, F&& task) {
-  if (exec != nullptr && exec->threads() > 1 && n > 1) {
-    exec->Run(n, task);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-  }
-}
-}  // namespace
 
 Result<std::unique_ptr<RedundantVolume>> RedundantVolume::Create(
     std::vector<std::unique_ptr<StorageDevice>> members,
@@ -139,9 +123,8 @@ RedundantVolume::RedundantVolume(std::vector<std::unique_ptr<StorageDevice>> mem
     member_span_ = span - span % stripe_;
   }
   lane_tokens_.resize(group_);
-  target_scratch_.reserve(group_);
-  run_status_.reserve(n);
-  run_done_.reserve(n);
+  target_scratch_.reserve(n);
+  failed_scratch_.reserve(n);
   scrub_clean_.assign(n, 1);
 }
 
@@ -267,6 +250,27 @@ bool RedundantVolume::Writable(std::uint32_t m, std::uint64_t where) const {
   return rebuild_phase_ >= 1 || where < rebuild_off_;
 }
 
+template <class Leg>
+SimTime RedundantVolume::IssueLegs(SimTime now, Leg&& leg, std::size_t* failed,
+                                   Status* first_err) {
+  failed_scratch_.clear();
+  SimTime done = now;
+  for (const std::uint32_t m : target_scratch_) {
+    Result<SimTime> r = leg(m);
+    if (r.ok()) {
+      done = Later(done, r.value());
+    } else {
+      if (first_err->ok()) *first_err = r.status();
+      failed_scratch_.push_back(m);
+    }
+  }
+  *failed = failed_scratch_.size();
+  if (*failed < target_scratch_.size()) {
+    for (const std::uint32_t m : failed_scratch_) LatchFailed(m);
+  }
+  return done;
+}
+
 Result<IoResult> RedundantVolume::Write(const IoRequest& req) {
   std::uint64_t logical = 0, in_zone = 0;
   if (Status st = Resolve(req, /*write=*/true, &logical, &in_zone); !st.ok()) {
@@ -315,48 +319,30 @@ Result<IoResult> RedundantVolume::WriteMirror(const IoRequest& req,
       degraded = true;
       continue;
     }
-    target_scratch_.push_back(lane);
+    target_scratch_.push_back(m);
   }
   if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no writable replica in mirror group");
   }
 
-  run_status_.assign(target_scratch_.size(), Status::Ok());
-  run_done_.assign(target_scratch_.size(), req.now);
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t i) {
-    const std::uint32_t m = base + target_scratch_[i];
-    auto res = members_[m]->Write(
-        IoRequest{moff, req.len, req.now, toks, /*want_tokens=*/false,
-                  req.io_class});
-    if (!res.ok()) {
-      run_status_[i] = res.status();
-    } else {
-      run_done_[i] = res.value().done;
-    }
-  });
-
-  SimTime done = req.now;
   std::size_t failed = 0;
   Status first_err;
-  for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
+  const SimTime done = IssueLegs(
+      req.now,
+      [&](std::uint32_t m) -> Result<SimTime> {
+        auto res = members_[m]->Write(IoRequest{moff, req.len, req.now, toks,
+                                                /*want_tokens=*/false,
+                                                req.io_class});
+        if (!res.ok()) return res.status();
+        return res.value().done;
+      },
+      &failed, &first_err);
   if (failed == target_scratch_.size()) {
     // Every leg refused identically — almost certainly the request
     // itself (misaligned, beyond WP), not a member fault. No latching.
     return first_err;
   }
-  if (failed > 0) {
-    for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(base + target_scratch_[i]);
-    }
-    degraded = true;
-  }
+  if (failed > 0) degraded = true;
   if (degraded) red_.degraded_writes++;
   return IoResult{done, {}};
 }
@@ -418,7 +404,7 @@ Result<IoResult> RedundantVolume::WriteParity(const IoRequest& req,
 
   target_scratch_.clear();
   for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (Writable(base + lane, zr)) target_scratch_.push_back(lane);
+    if (Writable(base + lane, zr)) target_scratch_.push_back(base + lane);
   }
   if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no writable lane in parity set");
@@ -430,38 +416,20 @@ Result<IoResult> RedundantVolume::WriteParity(const IoRequest& req,
     return Status::FailedPrecondition("parity set beyond single-fault tolerance");
   }
 
-  run_status_.assign(target_scratch_.size(), Status::Ok());
-  run_done_.assign(target_scratch_.size(), req.now);
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t i) {
-    const std::uint32_t lane = target_scratch_[i];
-    auto res = members_[base + lane]->Write(
-        IoRequest{run_off, run_len, req.now,
-                  std::span<const std::uint64_t>(lane_tokens_[lane]),
-                  /*want_tokens=*/false, req.io_class});
-    if (!res.ok()) {
-      run_status_[i] = res.status();
-    } else {
-      run_done_[i] = res.value().done;
-    }
-  });
-
-  SimTime done = req.now;
   std::size_t failed = 0;
   Status first_err;
-  for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
+  const SimTime done = IssueLegs(
+      req.now,
+      [&](std::uint32_t m) -> Result<SimTime> {
+        auto res = members_[m]->Write(
+            IoRequest{run_off, run_len, req.now,
+                      std::span<const std::uint64_t>(lane_tokens_[m - base]),
+                      /*want_tokens=*/false, req.io_class});
+        if (!res.ok()) return res.status();
+        return res.value().done;
+      },
+      &failed, &first_err);
   if (failed == target_scratch_.size()) return first_err;  // Request bug.
-  if (failed > 0) {
-    for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(base + target_scratch_[i]);
-    }
-  }
   const std::uint32_t missing =
       group_ - static_cast<std::uint32_t>(target_scratch_.size() - failed);
   if (missing > 1) {
@@ -496,7 +464,7 @@ Result<IoResult> RedundantVolume::ReadMirror(const IoRequest& req,
       (in_zone + req.len - 1) / stripe_ - in_zone / stripe_ + 1;
   // Primary replica rotates with the zone row and the first stripe unit
   // so independent streams spread across the group; fallback order is a
-  // fixed function of the request — deterministic at any thread count.
+  // fixed function of the request.
   const std::uint32_t primary =
       static_cast<std::uint32_t>((zr + in_zone / stripe_) % group_);
 
@@ -555,45 +523,31 @@ Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
     left -= take;
   }
 
-  // Group fragments per member: devices are not thread-safe, so one
-  // fan-out task owns all of a member's fragments and issues them
-  // serially; results land in per-fragment slots (disjoint across
-  // tasks) and merge in fragment order below.
-  std::vector<std::vector<std::size_t>> by_lane(group_);
-  for (std::size_t i = 0; i < frags.size(); ++i) {
-    by_lane[frags[i].lane].push_back(i);
-  }
+  // Direct reads, in fragment order; a fragment on an unreadable lane
+  // is reconstructed below.
   std::vector<std::uint8_t> need(frags.size(), 0);
-  target_scratch_.clear();
-  for (std::uint32_t lane = 0; lane < group_; ++lane) {
-    if (by_lane[lane].empty()) continue;
-    if (!Readable(base + lane)) {
-      for (std::size_t idx : by_lane[lane]) need[idx] = 1;
-    } else {
-      target_scratch_.push_back(lane);
-    }
-  }
-
   std::vector<Status> fstat(frags.size());
   std::vector<SimTime> fdone(frags.size(), req.now);
   std::vector<std::vector<std::uint64_t>> ftok(frags.size());
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t ti) {
-    for (std::size_t idx : by_lane[target_scratch_[ti]]) {
-      const Frag& f = frags[idx];
-      auto res = members_[base + f.lane]->Read(
-          IoRequest{f.moff, f.len, req.now, {}, req.want_tokens, req.io_class});
-      if (!res.ok()) {
-        fstat[idx] = res.status();
-      } else {
-        fdone[idx] = res.value().done;
-        if (req.want_tokens) ftok[idx] = std::move(res.value().tokens);
-      }
+  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
+    const Frag& f = frags[idx];
+    if (!Readable(base + f.lane)) {
+      need[idx] = 1;
+      continue;
     }
-  });
+    auto res = members_[base + f.lane]->Read(
+        IoRequest{f.moff, f.len, req.now, {}, req.want_tokens, req.io_class});
+    if (!res.ok()) {
+      fstat[idx] = res.status();
+    } else {
+      fdone[idx] = res.value().done;
+      if (req.want_tokens) ftok[idx] = std::move(res.value().tokens);
+    }
+  }
 
-  // Serial reconstruction pass: a lost fragment reads the same in-unit
-  // byte range from the other W-1 lanes and XORs pagewise. Serial on
-  // purpose — reconstruction touches members other tasks may own.
+  // Reconstruction pass, after every direct read: a lost fragment reads
+  // the same in-unit byte range from the other W-1 lanes and XORs
+  // pagewise.
   IoResult out;
   out.done = req.now;
   std::uint32_t recon = 0;
@@ -688,40 +642,18 @@ Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
         restart_copy = true;
       }
     }
-    target_scratch_.push_back(lane);
+    target_scratch_.push_back(m);
   }
   if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no serviceable member for zone reset");
   }
 
-  run_status_.assign(target_scratch_.size(), Status::Ok());
-  run_done_.assign(target_scratch_.size(), now);
-  FanOut(exec_, target_scratch_.size(), [&](std::size_t i) {
-    auto r = members_[base + target_scratch_[i]]->ResetZone(ZoneId{zr}, now);
-    if (!r.ok()) {
-      run_status_[i] = r.status();
-    } else {
-      run_done_[i] = r.value();
-    }
-  });
-
-  SimTime done = now;
   std::size_t failed = 0;
   Status first_err;
-  for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
+  SimTime done = IssueLegs(
+      now, [&](std::uint32_t m) { return members_[m]->ResetZone(ZoneId{zr}, now); },
+      &failed, &first_err);
   if (failed == target_scratch_.size()) return first_err;
-  if (failed > 0) {
-    for (std::size_t i = 0; i < target_scratch_.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(base + target_scratch_[i]);
-    }
-  }
   if (restart_copy && rebuild_member_ >= 0) {
     rebuild_off_ = 0;
     rebuild_fail_streak_ = 0;
@@ -741,41 +673,19 @@ Result<SimTime> RedundantVolume::ResetZone(ZoneId zone, SimTime now) {
 }
 
 Result<SimTime> RedundantVolume::Flush(SimTime now) {
-  std::vector<std::uint32_t> targets;
-  targets.reserve(members_.size());
+  target_scratch_.clear();
   for (std::uint32_t m = 0; m < members_.size(); ++m) {
-    if (state_[m] != MemberState::kFailed) targets.push_back(m);
+    if (state_[m] != MemberState::kFailed) target_scratch_.push_back(m);
   }
-  if (targets.empty()) {
+  if (target_scratch_.empty()) {
     return Status::FailedPrecondition("no serviceable member to flush");
   }
-  run_status_.assign(targets.size(), Status::Ok());
-  run_done_.assign(targets.size(), now);
-  FanOut(exec_, targets.size(), [&](std::size_t i) {
-    auto r = members_[targets[i]]->Flush(now);
-    if (!r.ok()) {
-      run_status_[i] = r.status();
-    } else {
-      run_done_[i] = r.value();
-    }
-  });
-  SimTime done = now;
   std::size_t failed = 0;
   Status first_err;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (!run_status_[i].ok()) {
-      ++failed;
-      if (first_err.ok()) first_err = run_status_[i];
-    } else {
-      done = Later(done, run_done_[i]);
-    }
-  }
-  if (failed == targets.size()) return first_err;
-  if (failed > 0) {
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (!run_status_[i].ok()) LatchFailed(targets[i]);
-    }
-  }
+  const SimTime done = IssueLegs(
+      now, [&](std::uint32_t m) { return members_[m]->Flush(now); }, &failed,
+      &first_err);
+  if (failed == target_scratch_.size()) return first_err;
   return done;
 }
 
@@ -795,27 +705,6 @@ RecoveryStats RedundantVolume::Recovery() const {
   RecoveryStats s;
   for (const auto& m : members_) s.Merge(m->Recovery());
   return s;
-}
-
-std::vector<StatsSnapshot> RedundantVolume::PerMemberStats() const {
-  std::vector<StatsSnapshot> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Stats());
-  return out;
-}
-
-std::vector<ReliabilityStats> RedundantVolume::PerMemberReliability() const {
-  std::vector<ReliabilityStats> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Reliability());
-  return out;
-}
-
-std::vector<RecoveryStats> RedundantVolume::PerMemberRecovery() const {
-  std::vector<RecoveryStats> out;
-  out.reserve(members_.size());
-  for (const auto& m : members_) out.push_back(m->Recovery());
-  return out;
 }
 
 Status RedundantVolume::MarkFailed(std::uint32_t i) {

@@ -6,7 +6,7 @@
 // weakest member: one failed or power-cut device makes the whole logical
 // address space unreadable. RedundantVolume is the robustness
 // counterpart — the btrfs scrub/replace story over the same typed
-// MemberZone machinery and the same deterministic fork-join executor:
+// MemberZone machinery:
 //
 //   * kMirror — members form groups of R replicas; every stripe unit is
 //     written to all R members of its group at identical member offsets.
@@ -61,11 +61,12 @@
 // there — never a torn row (the PR 4 crash checker's prefix rule, lifted
 // to the volume).
 //
-// Determinism. All fan-out runs on the attached Executor under the §7
-// contract (per-task result slots, merge in submission order), replica
-// selection and reconstruction orders are functions of the request
-// alone, and scrub/rebuild advance in fixed cursor order — so every
-// outcome is bit-identical across thread counts and same-seed reruns.
+// Determinism. Member legs are issued in member order on the calling
+// thread (every leg is issued even after one fails, the lowest-index
+// error wins, and failed members are latched only after the last leg
+// returns), replica selection and reconstruction orders are functions
+// of the request alone, and scrub/rebuild advance in fixed cursor order
+// — so every outcome is bit-identical across same-seed reruns.
 #pragma once
 
 #include <cstdint>
@@ -144,18 +145,10 @@ class RedundantVolume final : public StorageDevice {
   /// rebuild). Member-level fault accounting stays in Reliability().
   const RedundancyStats& Redundancy() const { return red_; }
 
-  /// Per-member breakdowns, member order — the merged Stats()/
-  /// Reliability() flatten which member failed (same satellite accessor
-  /// as StripedVolume).
-  std::vector<StatsSnapshot> PerMemberStats() const;
-  std::vector<ReliabilityStats> PerMemberReliability() const;
-  std::vector<RecoveryStats> PerMemberRecovery() const;
-
-  /// Attach a fork-join executor for per-member fan-out (writes, parity
-  /// read legs). Null (default) or 1 thread = serial reference path.
-  /// Non-owning; must outlive the volume.
-  void set_executor(Executor* exec) { exec_ = exec; }
-  Executor* executor() const { return exec_; }
+  /// No-op: member legs always run inline. Kept only because
+  /// perfbench/src/workloads.cpp, the benchmark's own tree, still calls
+  /// it; delete it with the next change to the benchmark.
+  void set_executor(Executor* /*unused*/) {}
 
   // --- Member failure & replacement ---
 
@@ -236,6 +229,17 @@ class RedundantVolume final : public StorageDevice {
   static bool Reconstructable(StatusCode code);
   /// Latch a member failed (idempotent) and count it.
   void LatchFailed(std::uint32_t m);
+  /// Issue one leg per member in target_scratch_, in order, on the
+  /// calling thread; `leg(m)` returns member m's completion. Every leg
+  /// is issued even after an earlier one fails (a real host already has
+  /// them all in flight). Returns the latest successful completion
+  /// (>= now), counts failed legs in *failed and keeps the lowest-index
+  /// error in *first_err. Unless every leg failed — then the request
+  /// itself is at fault — the failed members are latched, after the
+  /// last leg returned.
+  template <class Leg>
+  SimTime IssueLegs(SimTime now, Leg&& leg, std::size_t* failed,
+                    Status* first_err);
   /// Reads are served only by fully-active members: a rebuilding member
   /// may hold holes until its completion verify sweep passes, so it never
   /// serves foreground reads.
@@ -319,8 +323,6 @@ class RedundantVolume final : public StorageDevice {
   std::uint64_t align_;       ///< I/O alignment = token granularity.
   std::uint32_t rows_per_tick_;  ///< Background quantum (stripe rows / Tick).
 
-  Executor* exec_ = nullptr;
-
   RedundancyStats red_;
   std::vector<ScrubMismatch> scrub_log_;
   static constexpr std::size_t kScrubLogCap = 4096;
@@ -355,14 +357,11 @@ class RedundantVolume final : public StorageDevice {
   std::uint32_t rebuild_fail_streak_ = 0;
 
   // Per-request scratch, reused so the routing path stays allocation-
-  // free after warm-up (the volume never re-enters itself). During a
-  // parallel fan-out task i owns exactly run_status_[i]/run_done_[i] and
-  // its own lane_tokens_ slot — tasks share nothing.
+  // free after warm-up (the volume never re-enters itself).
   std::vector<std::uint64_t> token_scratch_;  ///< Materialized write tokens.
   std::vector<std::vector<std::uint64_t>> lane_tokens_;
-  std::vector<std::uint32_t> target_scratch_;  ///< Lanes served by this request.
-  std::vector<Status> run_status_;
-  std::vector<SimTime> run_done_;
+  std::vector<std::uint32_t> target_scratch_;  ///< Members served by this request.
+  std::vector<std::uint32_t> failed_scratch_;  ///< Members whose leg failed.
 };
 
 }  // namespace conzone

@@ -6,11 +6,11 @@
 // ConZoneConfig, its own fault-RNG stream, its own workload RNGs, its
 // own event queue. Shards share NOTHING mutable, which is what lets a
 // single process drive N of them in parallel without a single lock on
-// the simulation hot path. Shard tasks are scheduled on the shared
-// deterministic work-stealing executor (src/exec, DESIGN.md §7) — the
-// same substrate StripedVolume fans member sub-requests out on — so the
-// only synchronization is the executor's deques (off the hot path, once
-// per shard) and its join barrier.
+// the simulation hot path. Shard tasks are scheduled on the
+// deterministic work-stealing executor (src/exec, DESIGN.md §7), whose
+// one library consumer this runner is, so the only synchronization is
+// the executor's deques (off the hot path, once per shard) and its join
+// barrier.
 //
 // Each shard runs one of two bodies:
 //   * FIO body (`jobs`): a FioRunner job list, optionally over a

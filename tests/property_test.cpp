@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/device.hpp"
@@ -36,6 +38,15 @@ struct PropertyCase {
   std::uint64_t seed;
   L2pSearchStrategy strategy;
 };
+
+std::string CaseName(const PropertyCase& p) {
+  return std::string(L2pSearchStrategyName(p.strategy)) + "_seed" +
+         std::to_string(p.seed);
+}
+
+// Without a printer gtest shows the raw bytes of the case, padding included,
+// so the ctest names derived from them would end in uninitialized memory.
+void PrintTo(const PropertyCase& p, std::ostream* os) { *os << CaseName(p); }
 
 class DevicePropertyTest : public ::testing::TestWithParam<PropertyCase> {};
 
@@ -141,10 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{6, L2pSearchStrategy::kPinned},
                       PropertyCase{7, L2pSearchStrategy::kBitmap},
                       PropertyCase{8, L2pSearchStrategy::kMultiple}),
-    [](const auto& info) {
-      return std::string(L2pSearchStrategyName(info.param.strategy)) + "_seed" +
-             std::to_string(info.param.seed);
-    });
+    [](const auto& info) { return CaseName(info.param); });
 
 /// P3 in isolation: stamped aggregates must resolve through the layout.
 TEST(AggregationPropertyTest, AggregatedEntriesResolveToTablePpns) {
