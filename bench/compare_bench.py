@@ -11,13 +11,18 @@ reported but never fatal: a new benchmark (e.g. a fresh
 BM_Remount/checkpoint_interval axis point) has no baseline to regress
 against, and a removed one cannot regress.
 
+The baseline is recorded with --benchmark_repetitions=5 (see
+bench/run_bench.sh) and each row gates on the MEDIAN of its raw
+repetitions: one recorded run can be a 2x outlier on a shared host,
+and a median of five is not moved by one or two of them. A baseline
+recorded without repetitions still works (median of one).
+
 More than one candidate file may be given; each benchmark then gates on
-its best (max) rate across candidates. Wall-clock noise on a shared
-runner is one-sided — contention only ever makes a run look slower —
-so the per-row best across a few recordings estimates the machine's
-noise floor and stops the gate from failing on scheduling jitter
-instead of code. (The same reasoning is why `--benchmark_repetitions`
-reports the min; this flag works across whole harness invocations.)
+its best (max) rate across every raw run in them. Wall-clock noise on a
+shared runner is one-sided — contention only ever makes a run look
+slower — so the per-row best across a few recordings estimates the
+machine's noise floor and stops the gate from failing on scheduling
+jitter instead of code.
 
 Absolute sim-IOs/s are machine-dependent; the gate only means something
 when baseline and candidate come from the same runner class (CI records
@@ -30,6 +35,7 @@ Usage:
 """
 import argparse
 import json
+import statistics
 import sys
 
 # In priority order; the first counter a row carries is its gate metric.
@@ -40,7 +46,7 @@ METRIC = " / ".join(METRICS)  # for messages
 
 
 def load_rates(path):
-    """Map of benchmark name -> (metric, rate) for every per-iteration run."""
+    """Map of benchmark name -> (metric, [rate of every raw run])."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     rates = {}
@@ -50,14 +56,14 @@ def load_rates(path):
         for metric in METRICS:
             value = bench.get(metric)
             if value is not None:
-                rates[bench["name"]] = (metric, float(value))
+                rates.setdefault(bench["name"], (metric, []))[1].append(float(value))
                 break
     return rates
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed baseline JSON")
+    parser.add_argument("baseline", help="committed baseline JSON (each row gates on its median)")
     parser.add_argument(
         "candidate",
         nargs="+",
@@ -72,15 +78,18 @@ def main():
     )
     args = parser.parse_args()
 
-    base = load_rates(args.baseline)
+    base = {
+        name: (metric, statistics.median(values))
+        for name, (metric, values) in load_rates(args.baseline).items()
+    }
     cand = {}
     for path in args.candidate:
         rates = load_rates(path)
         if not rates:
             sys.exit(f"no {METRIC} entries in candidate {path}")
-        for name, (metric, value) in rates.items():
+        for name, (metric, values) in rates.items():
             prev = cand.get(name, (metric, 0.0))
-            cand[name] = (metric, max(prev[1], value))
+            cand[name] = (metric, max([prev[1]] + values))
     if not base:
         sys.exit(f"no {METRIC} entries in baseline {args.baseline}")
 
@@ -119,7 +128,7 @@ def main():
     for name in sorted(set(cand) - set(base)):
         rows.append(("NEW", name, "-", f"{cand[name][1]:,.0f}", "-"))
 
-    header = ("", "benchmark", "old rate", "new rate", "delta")
+    header = ("", "benchmark", "old median", "new best", "delta")
     widths = [
         max(len(r[i]) for r in rows + [header]) for i in range(len(header))
     ]

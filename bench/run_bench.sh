@@ -17,6 +17,10 @@
 #   bench/run_bench.sh [out.json]          # default: BENCH_emulator_throughput.json
 #   BUILD_DIR=build-rel bench/run_bench.sh # use/configure a different build tree
 #   BENCH_ARGS="--benchmark_min_time=0.2" bench/run_bench.sh  # extra harness args
+#
+# Record the committed baseline with five repetitions; compare_bench.py
+# gates each row on the median of its raw repetitions:
+#   BENCH_ARGS="--benchmark_repetitions=5" bench/run_bench.sh
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"

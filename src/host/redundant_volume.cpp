@@ -501,14 +501,8 @@ Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
 
   // Split the data-space range into per-unit fragments; each fragment
   // lives on exactly one lane of the set.
-  struct Frag {
-    std::uint32_t lane;
-    std::uint64_t moff;
-    std::uint64_t len;
-    std::uint64_t row;
-    std::uint64_t unit_off;
-  };
-  std::vector<Frag> frags;
+  std::vector<ParityFrag>& frags = frag_scratch_;
+  frags.clear();
   std::uint64_t db = in_zone, left = req.len;
   while (left > 0) {
     const std::uint64_t k = db / row_bytes;
@@ -517,31 +511,30 @@ Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
     const std::uint64_t uo = wr % stripe_;
     const std::uint64_t take = std::min(stripe_ - uo, left);
     const std::uint32_t p = ParityLane(k);
-    const std::uint32_t lane = static_cast<std::uint32_t>(d) + (d >= p ? 1u : 0u);
-    frags.push_back(Frag{lane, zr * mzs + k * stripe_ + uo, take, k, uo});
+    ParityFrag& f = frags.emplace_back();
+    f.lane = static_cast<std::uint32_t>(d) + (d >= p ? 1u : 0u);
+    f.moff = zr * mzs + k * stripe_ + uo;
+    f.len = take;
+    f.row = k;
+    f.unit_off = uo;
     db += take;
     left -= take;
   }
 
   // Direct reads, in fragment order; a fragment on an unreadable lane
   // is reconstructed below.
-  std::vector<std::uint8_t> need(frags.size(), 0);
-  std::vector<Status> fstat(frags.size());
-  std::vector<SimTime> fdone(frags.size(), req.now);
-  std::vector<std::vector<std::uint64_t>> ftok(frags.size());
-  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
-    const Frag& f = frags[idx];
+  for (ParityFrag& f : frags) {
     if (!Readable(base + f.lane)) {
-      need[idx] = 1;
+      f.need = true;
       continue;
     }
     auto res = members_[base + f.lane]->Read(
         IoRequest{f.moff, f.len, req.now, {}, req.want_tokens, req.io_class});
     if (!res.ok()) {
-      fstat[idx] = res.status();
+      f.status = res.status();
     } else {
-      fdone[idx] = res.value().done;
-      if (req.want_tokens) ftok[idx] = std::move(res.value().tokens);
+      f.done = res.value().done;
+      if (req.want_tokens) f.tokens = std::move(res.value().tokens);
     }
   }
 
@@ -551,26 +544,23 @@ Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
   IoResult out;
   out.done = req.now;
   std::uint32_t recon = 0;
-  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
-    if (need[idx] == 0 && !fstat[idx].ok()) {
-      if (!Reconstructable(fstat[idx].code())) return std::move(fstat[idx]);
-      need[idx] = 1;
+  for (ParityFrag& f : frags) {
+    if (!f.need && !f.status.ok()) {
+      if (!Reconstructable(f.status.code())) return std::move(f.status);
+      f.need = true;
     }
-    if (need[idx] != 0) {
-      const Frag& f = frags[idx];
-      std::vector<std::uint64_t> rec;
+    if (f.need) {
       auto r = ReconstructParity(logical, f.row, f.lane, f.unit_off, f.len,
-                                 req.now, &rec);
+                                 req.now, &f.tokens);
       if (!r.ok()) {
         // Prefer the direct read's own error (e.g. plain beyond-WP) so a
         // degraded volume fails the same way a bare device would.
-        return fstat[idx].ok() ? r.status() : std::move(fstat[idx]);
+        return f.status.ok() ? r.status() : std::move(f.status);
       }
-      fdone[idx] = r.value();
-      ftok[idx] = std::move(rec);
+      f.done = r.value();
       ++recon;
     }
-    out.done = Later(out.done, fdone[idx]);
+    out.done = Later(out.done, f.done);
   }
 
   if (recon > 0) {
@@ -580,8 +570,8 @@ Result<IoResult> RedundantVolume::ReadParity(const IoRequest& req,
   }
   if (req.want_tokens) {
     out.tokens.reserve(req.len / align_);
-    for (std::size_t idx = 0; idx < frags.size(); ++idx) {
-      out.tokens.insert(out.tokens.end(), ftok[idx].begin(), ftok[idx].end());
+    for (const ParityFrag& f : frags) {
+      out.tokens.insert(out.tokens.end(), f.tokens.begin(), f.tokens.end());
     }
   }
   return out;

@@ -362,6 +362,20 @@ class RedundantVolume final : public StorageDevice {
   std::vector<std::vector<std::uint64_t>> lane_tokens_;
   std::vector<std::uint32_t> target_scratch_;  ///< Members served by this request.
   std::vector<std::uint32_t> failed_scratch_;  ///< Members whose leg failed.
+  /// One parity read's per-stripe-unit fragment: where it lives, and
+  /// what its direct read or reconstruction returned.
+  struct ParityFrag {
+    std::uint32_t lane = 0;
+    std::uint64_t moff = 0;
+    std::uint64_t len = 0;
+    std::uint64_t row = 0;
+    std::uint64_t unit_off = 0;
+    bool need = false;  ///< Lane unreadable or its read failed: reconstruct.
+    Status status;      ///< The direct read's error, if any.
+    SimTime done;
+    std::vector<std::uint64_t> tokens;  ///< Filled only when tokens are wanted.
+  };
+  std::vector<ParityFrag> frag_scratch_;
 };
 
 }  // namespace conzone

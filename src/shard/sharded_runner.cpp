@@ -217,28 +217,19 @@ Result<ShardedResult> ShardedRunner::Run() {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = std::min(shards, hw == 0 ? 1u : static_cast<std::uint32_t>(hw));
   }
-  threads = std::min(threads, shards);
 
   std::vector<ShardOutcome> outcomes(shards);
-  // Shard ids are the executor's task ids: submitted in shard order,
-  // run wherever the deques and steals land them. Which lane runs which
-  // shard is scheduling-dependent — but each outcome lands in its own
+  // Shard ids are the executor's task ids, pulled off one atomic cursor
+  // by whichever thread is free. Which thread runs which shard is
+  // scheduling-dependent — but each outcome lands in its own
   // preallocated slot and the merge below happens after the join
   // barrier, in shard-id order, so the merge never sees that.
-  auto shard_task = [&](std::size_t id) {
+  Executor(threads).Run(shards, [&](std::size_t id) {
     ShardOutcome& out = outcomes[id];
     out.result.shard_id = static_cast<std::uint32_t>(id);
     out.status = plan_.soak ? RunSoakShard(plan_, out.result.shard_id, out.result)
                             : RunFioShard(plan_, out.result.shard_id, out.result);
-  };
-  if (plan_.executor != nullptr) {
-    plan_.executor->Run(shards, shard_task);
-  } else if (threads <= 1) {
-    // Inline serial reference path: zero thread overhead.
-    SerialExecutor().Run(shards, shard_task);
-  } else {
-    WorkStealingExecutor(threads).Run(shards, shard_task);
-  }
+  });
 
   // Merge after join, in shard-id order: deterministic for any thread
   // count. Errors resolve to the lowest failing shard for the same

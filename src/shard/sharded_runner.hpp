@@ -6,11 +6,11 @@
 // ConZoneConfig, its own fault-RNG stream, its own workload RNGs, its
 // own event queue. Shards share NOTHING mutable, which is what lets a
 // single process drive N of them in parallel without a single lock on
-// the simulation hot path. Shard tasks are scheduled on the
-// deterministic work-stealing executor (src/exec, DESIGN.md §7), whose
-// one library consumer this runner is, so the only synchronization is
-// the executor's deques (off the hot path, once per shard) and its join
-// barrier.
+// the simulation hot path. Shard tasks are fanned out by the
+// deterministic fork-join executor (src/exec, DESIGN.md §7), whose one
+// library consumer this runner is, so the only synchronization is the
+// executor's task cursor (off the hot path, once per shard) and its
+// join barrier.
 //
 // Each shard runs one of two bodies:
 //   * FIO body (`jobs`): a FioRunner job list, optionally over a
@@ -52,8 +52,6 @@
 
 namespace conzone {
 
-class Executor;
-
 /// Scheduled mid-run power cuts for each shard. With cuts > 0 every
 /// shard interleaves its body with up to `cuts` full PowerCut/Recover
 /// cycles at the times its CutStream (seeded by the shard's derived
@@ -73,15 +71,10 @@ struct ShardPlan {
   /// Template device configuration; shard i runs ConfigForShard(plan, i).
   ConZoneConfig config;
   std::uint32_t shards = 1;
-  /// Worker threads; 0 = min(shards, hardware_concurrency). Ignored
-  /// when `executor` is set.
+  /// Threads, the caller included; 0 = min(shards,
+  /// hardware_concurrency). Results are bit-identical for any value —
+  /// the merge is what's ordered, not the execution.
   std::uint32_t threads = 0;
-  /// Schedule shard tasks on this shared executor instead of building
-  /// one per run (non-owning; must outlive the run). Null = the runner
-  /// constructs a WorkStealingExecutor with `threads` lanes. Results
-  /// are bit-identical either way — the merge is what's ordered, not
-  /// the execution.
-  Executor* executor = nullptr;
   std::uint64_t master_seed = 1;
   /// Mid-run power-cut schedule (cuts == 0 disables it).
   ShardCutSchedule cut_schedule;
