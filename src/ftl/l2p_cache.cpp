@@ -1,5 +1,6 @@
 #include "ftl/l2p_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace conzone {
@@ -19,6 +20,7 @@ L2PCache::L2PCache(const L2pCacheConfig& config)
       div_lpns_per_zone_(config.lpns_per_zone) {
   assert(cfg_.lpns_per_zone % cfg_.lpns_per_chunk == 0);
   if (max_entries_ > 0) {
+    // Every node holds at least one key, so max_entries_ nodes suffice.
     slots_.resize(max_entries_);
     free_slots_.reserve(max_entries_);
     // Free list popped from the back: push in reverse so slot 0 is used
@@ -133,43 +135,227 @@ void L2PCache::LruMoveToFront(std::uint32_t slot) {
 
 std::optional<Ppn> L2PCache::Lookup(const L2pKey& key) {
   ++stats_.lookups;
-  if (size_ == 0) return std::nullopt;
-  bool found = false;
-  const std::size_t b = FindBucket(key.Encoded(), &found);
-  if (!found) return std::nullopt;
+  if (hashed_ != 0) {
+    bool found = false;
+    const std::size_t b = FindBucket(key.Encoded(), &found);
+    if (found) {
+      ++stats_.hits;
+      const std::uint32_t slot = table_[b];
+      LruMoveToFront(slot);
+      return Ppn(slots_[slot].value);
+    }
+  }
+  if (runs_.empty() || key.gran != MapGranularity::kPage) return std::nullopt;
+  return LookupRun(key.index);
+}
+
+// Out of line so that the run path's register spills stay out of the
+// prologue of Lookup's hash path, which every ConZone read takes.
+[[gnu::noinline]] std::optional<Ppn> L2PCache::LookupRun(std::uint64_t lpn) {
+  const std::size_t pos = RunPos(lpn);
+  if (!RunCovers(pos, lpn)) return std::nullopt;
   ++stats_.hits;
-  const std::uint32_t slot = table_[b];
-  LruMoveToFront(slot);
-  return slots_[slot].base_ppn;
+  const std::uint32_t slot = runs_[pos];
+  const Slot& r = slots_[slot];
+  const Ppn ppn = pool_[r.value + (lpn - r.key)];
+  // The newest key of the head run is already most recent.
+  if (slot == lru_head_ && lpn + 1 == r.key + r.run_len) return ppn;
+  CutRun(pos, lpn, lpn + 1);
+  PushRunFront(lpn, std::span<const Ppn>(&ppn, 1));
+  return ppn;
 }
 
 std::optional<Ppn> L2PCache::Peek(const L2pKey& key) const {
-  if (size_ == 0) return std::nullopt;
-  bool found = false;
-  const std::size_t b = FindBucket(key.Encoded(), &found);
-  if (!found) return std::nullopt;
-  return slots_[table_[b]].base_ppn;
+  if (hashed_ != 0) {
+    bool found = false;
+    const std::size_t b = FindBucket(key.Encoded(), &found);
+    if (found) return Ppn(slots_[table_[b]].value);
+  }
+  if (runs_.empty() || key.gran != MapGranularity::kPage) return std::nullopt;
+  const std::size_t pos = RunPos(key.index);
+  if (!RunCovers(pos, key.index)) return std::nullopt;
+  const Slot& r = slots_[runs_[pos]];
+  return pool_[r.value + (key.index - r.key)];
 }
 
-void L2PCache::RemoveSlot(std::uint32_t slot, std::size_t bucket) {
+void L2PCache::PushSingle(std::size_t bucket, std::uint64_t key, Ppn ppn, bool pinned) {
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  Slot& s = slots_[slot];
+  s.key = key;
+  s.value = ppn.value();
+  s.run_len = 0;
+  s.pinned = pinned;
+  table_[bucket] = slot;
+  LruPushFront(slot);
+  ++size_;
+  ++hashed_;
+  if (pinned) ++pinned_count_;
+}
+
+void L2PCache::RemoveSingle(std::uint32_t slot, std::size_t bucket) {
+  if (slots_[slot].pinned) --pinned_count_;
   LruUnlink(slot);
   TableErase(bucket);
   free_slots_.push_back(slot);
   --size_;
+  --hashed_;
 }
 
-void L2PCache::EvictOne() {
-  // Scan from the LRU end, skipping pinned entries (they also live in
-  // the chain but are exempt from eviction).
-  for (std::uint32_t s = lru_tail_; s != kNil; s = slots_[s].prev) {
-    if (slots_[s].pinned) continue;
-    bool found = false;
-    const std::size_t b = FindBucket(slots_[s].key, &found);
-    assert(found);
-    RemoveSlot(s, b);
-    ++stats_.evictions;
-    return;
+void L2PCache::EraseSingle(std::uint64_t key) {
+  if (hashed_ == 0) return;
+  bool found = false;
+  const std::size_t b = FindBucket(key, &found);
+  if (found) RemoveSingle(table_[b], b);
+}
+
+std::size_t L2PCache::RunPos(std::uint64_t lpn) const {
+  // First run starting after lpn; its predecessor is the only run that
+  // can cover lpn (runs are disjoint).
+  auto it = std::upper_bound(runs_.begin(), runs_.end(), lpn,
+                             [this](std::uint64_t l, std::uint32_t s) { return l < slots_[s].key; });
+  if (it != runs_.begin()) {
+    const Slot& prev = slots_[*(it - 1)];
+    if (lpn < prev.key + prev.run_len) --it;
   }
+  return static_cast<std::size_t>(it - runs_.begin());
+}
+
+bool L2PCache::RunCovers(std::size_t pos, std::uint64_t lpn) const {
+  return pos < runs_.size() && slots_[runs_[pos]].key <= lpn;
+}
+
+std::uint64_t L2PCache::AllocatePool(std::uint64_t n) {
+  // Twice the capacity: a compaction frees at least max_entries_ - n
+  // entries, so compactions cost O(1) amortized per inserted key.
+  if (pool_.empty()) {
+    pool_.resize(2 * max_entries_);
+    runs_.reserve(max_entries_);
+  }
+  if (pool_end_ + n > pool_.size()) {
+    // Run segments lie in the pool in LRU order (runs are only ever
+    // created at the head and never move), so sliding each one down in
+    // tail-to-head order never overwrites a live entry.
+    std::uint64_t dst = 0;
+    for (std::uint32_t s = lru_tail_; s != kNil; s = slots_[s].prev) {
+      Slot& r = slots_[s];
+      if (r.run_len == 0) continue;
+      assert(r.value >= dst);
+      std::copy(pool_.data() + r.value, pool_.data() + r.value + r.run_len,
+                pool_.data() + dst);
+      r.value = dst;
+      dst += r.run_len;
+    }
+    pool_end_ = dst;
+  }
+  assert(pool_end_ + n <= pool_.size());
+  const std::uint64_t seg = pool_end_;
+  pool_end_ += n;
+  return seg;
+}
+
+void L2PCache::PushRunFront(std::uint64_t lo, std::span<const Ppn> ppns) {
+  const std::uint64_t n = ppns.size();
+  size_ += n;
+  if (lru_head_ != kNil) {
+    Slot& h = slots_[lru_head_];
+    if (h.run_len != 0 && h.key + h.run_len == lo && h.value + h.run_len == pool_end_ &&
+        pool_end_ + n <= pool_.size()) {
+      std::copy(ppns.begin(), ppns.end(), pool_.data() + pool_end_);
+      pool_end_ += n;
+      h.run_len += static_cast<std::uint32_t>(n);
+      return;
+    }
+  }
+  const std::uint64_t seg = AllocatePool(n);
+  std::copy(ppns.begin(), ppns.end(), pool_.data() + seg);
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  Slot& r = slots_[slot];
+  r.key = lo;
+  r.value = seg;
+  r.run_len = static_cast<std::uint32_t>(n);
+  r.pinned = false;
+  LruPushFront(slot);
+  runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(RunPos(lo)), slot);
+}
+
+void L2PCache::CutRun(std::size_t pos, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint32_t slot = runs_[pos];
+  Slot& r = slots_[slot];
+  const std::uint64_t end = r.key + r.run_len;
+  assert(r.key <= lo && lo < hi && hi <= end);
+  size_ -= hi - lo;
+  if (lo == r.key && hi == end) {
+    LruUnlink(slot);
+    free_slots_.push_back(slot);
+    runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(pos));
+  } else if (lo == r.key) {
+    r.value += hi - lo;
+    r.key = hi;
+    r.run_len = static_cast<std::uint32_t>(end - hi);
+  } else if (hi == end) {
+    r.run_len = static_cast<std::uint32_t>(lo - r.key);
+  } else {
+    // The upper part holds the newer keys: link it just head-side of the
+    // lower part, which keeps the run's place in the LRU.
+    const std::uint32_t upper = free_slots_.back();
+    free_slots_.pop_back();
+    Slot& u = slots_[upper];
+    u.key = hi;
+    u.value = r.value + (hi - r.key);
+    u.run_len = static_cast<std::uint32_t>(end - hi);
+    u.pinned = false;
+    u.next = slot;
+    u.prev = r.prev;
+    if (r.prev != kNil) {
+      slots_[r.prev].next = upper;
+    } else {
+      lru_head_ = upper;
+    }
+    r.prev = upper;
+    r.run_len = static_cast<std::uint32_t>(lo - r.key);
+    runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(pos + 1), upper);
+  }
+}
+
+void L2PCache::EraseRunKeys(std::uint64_t lo, std::uint64_t hi) {
+  while (lo < hi) {
+    const std::size_t pos = RunPos(lo);
+    if (pos == runs_.size()) return;
+    const Slot& r = slots_[runs_[pos]];
+    if (r.key >= hi) return;
+    const std::uint64_t cut_lo = std::max(lo, r.key);
+    const std::uint64_t cut_hi = std::min(hi, r.key + r.run_len);
+    CutRun(pos, cut_lo, cut_hi);
+    lo = cut_hi;
+  }
+}
+
+std::uint64_t L2PCache::EvictTail(std::uint64_t count) {
+  // Scan from the LRU end, skipping pinned entries (they also live in
+  // the chain but are exempt from eviction). Runs give up their oldest
+  // (lowest) keys first.
+  std::uint64_t evicted = 0;
+  std::uint32_t s = lru_tail_;
+  while (evicted < count && s != kNil) {
+    const std::uint32_t prev = slots_[s].prev;
+    const Slot& e = slots_[s];
+    if (e.run_len != 0) {
+      const std::uint64_t take = std::min<std::uint64_t>(count - evicted, e.run_len);
+      CutRun(RunPos(e.key), e.key, e.key + take);
+      evicted += take;
+    } else if (!e.pinned) {
+      bool found = false;
+      const std::size_t b = FindBucket(e.key, &found);
+      assert(found);
+      RemoveSingle(s, b);
+      ++evicted;
+    }
+    s = prev;
+  }
+  stats_.evictions += evicted;
+  return evicted;
 }
 
 void L2PCache::Insert(const L2pKey& key, Ppn base_ppn, bool pinned) {
@@ -181,10 +367,19 @@ void L2PCache::Insert(const L2pKey& key, Ppn base_ppn, bool pinned) {
     Slot& s = slots_[table_[b]];
     if (s.pinned && !pinned) --pinned_count_;
     if (!s.pinned && pinned) ++pinned_count_;
-    s.base_ppn = base_ppn;
+    s.value = base_ppn.value();
     s.pinned = pinned;
     LruMoveToFront(table_[b]);
     return;
+  }
+  if (!runs_.empty() && key.gran == MapGranularity::kPage) {
+    const std::size_t pos = RunPos(key.index);
+    if (RunCovers(pos, key.index)) {
+      // Refresh a run key: it leaves the run and becomes a single entry.
+      CutRun(pos, key.index, key.index + 1);
+      PushSingle(b, key.Encoded(), base_ppn, pinned);
+      return;
+    }
   }
   if (size_ >= max_entries_) {
     if (pinned_count_ >= max_entries_ && !pinned) {
@@ -192,35 +387,84 @@ void L2PCache::Insert(const L2pKey& key, Ppn base_ppn, bool pinned) {
       ++stats_.rejected_insertions;
       return;
     }
-    EvictOne();
-    if (size_ >= max_entries_) {
+    if (EvictTail(1) == 0) {
       ++stats_.rejected_insertions;
       return;
     }
     // The eviction may have shifted buckets; re-locate the insert point.
     b = FindBucket(key.Encoded(), &found);
   }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  Slot& s = slots_[slot];
-  s.key = key.Encoded();
-  s.base_ppn = base_ppn;
-  s.pinned = pinned;
-  table_[b] = slot;
-  LruPushFront(slot);
-  ++size_;
-  if (pinned) ++pinned_count_;
+  PushSingle(b, key.Encoded(), base_ppn, pinned);
   ++stats_.insertions;
 }
 
+void L2PCache::InsertRun(Lpn first, std::span<const Ppn> ppns) {
+  if (max_entries_ == 0) return;
+  const std::uint64_t lo = first.value();
+  const std::uint64_t n = ppns.size();
+  // Keys [lo + r_lo, lo + i) are the run's keys inserted or refreshed so
+  // far. Sequential inserts would have put them at the head in ascending
+  // order; they stay unlinked (outside size_) until the end, where they
+  // become one run node. Older run keys were evicted or rejected.
+  std::uint64_t r_lo = 0;
+  std::uint64_t i = 0;
+  while (i < n) {
+    // Find the next run key that is resident in a linked node: every key
+    // before it inserts fresh.
+    const std::size_t pos = RunPos(lo + i);
+    std::uint64_t next = n;
+    if (pos < runs_.size()) next = std::min(n, std::max(slots_[runs_[pos]].key, lo + i) - lo);
+    bool single = false;
+    std::size_t bucket = 0;
+    for (std::uint64_t j = i; hashed_ != 0 && j < next; ++j) {
+      bool found = false;
+      const std::size_t b = FindBucket(L2pKey{MapGranularity::kPage, lo + j}.Encoded(), &found);
+      if (found) {
+        next = j;
+        single = true;
+        bucket = b;
+        break;
+      }
+    }
+    if (next > i) {
+      const std::uint64_t fresh = next - i;
+      if (pinned_count_ >= max_entries_) {
+        // Every resident key is pinned (so no run key is held): each
+        // insertion is dropped.
+        stats_.rejected_insertions += fresh;
+        r_lo = next;
+      } else {
+        // Each insertion beyond the free room evicts the LRU unpinned key:
+        // linked keys from the tail first, then this run's oldest keys.
+        const std::uint64_t held = size_ + (i - r_lo);
+        const std::uint64_t room = max_entries_ - held;
+        const std::uint64_t evict = fresh > room ? fresh - room : 0;
+        const std::uint64_t from_run = evict - EvictTail(evict);
+        stats_.evictions += from_run;
+        r_lo += from_run;
+        stats_.insertions += fresh;
+      }
+      i = next;
+    } else if (single) {
+      // Refresh: the key joins the run (unpinning it).
+      RemoveSingle(table_[bucket], bucket);
+      ++i;
+    } else {
+      // Refresh every run key held by this linked run at once.
+      const Slot& r = slots_[runs_[pos]];
+      const std::uint64_t end = std::min(lo + n, r.key + r.run_len);
+      CutRun(pos, lo + i, end);
+      i = end - lo;
+    }
+  }
+  if (r_lo < n) PushRunFront(lo + r_lo, ppns.subspan(r_lo));
+}
+
 void L2PCache::Erase(const L2pKey& key) {
-  if (size_ == 0) return;
-  bool found = false;
-  const std::size_t b = FindBucket(key.Encoded(), &found);
-  if (!found) return;
-  const std::uint32_t slot = table_[b];
-  if (slots_[slot].pinned) --pinned_count_;
-  RemoveSlot(slot, b);
+  EraseSingle(key.Encoded());
+  if (!runs_.empty() && key.gran == MapGranularity::kPage) {
+    EraseRunKeys(key.index, key.index + 1);
+  }
 }
 
 void L2PCache::EvictCoveredBy(const L2pKey& key) {
@@ -232,27 +476,29 @@ void L2PCache::EvictCoveredBy(const L2pKey& key) {
     const std::uint64_t chunks = unit / cfg_.lpns_per_chunk;
     const std::uint64_t first = start / cfg_.lpns_per_chunk;
     for (std::uint64_t c = 0; c < chunks; ++c) {
-      Erase(L2pKey{MapGranularity::kChunk, first + c});
+      EraseSingle(L2pKey{MapGranularity::kChunk, first + c}.Encoded());
     }
   }
   // Page entries covered. Ranges are at most one zone (4096 keys) — cheap
   // relative to the flash ops that trigger aggregation.
-  for (std::uint64_t i = 0; i < unit; ++i) {
-    Erase(L2pKey{MapGranularity::kPage, start + i});
+  EraseRunKeys(start, start + unit);
+  for (std::uint64_t i = 0; i < unit && hashed_ != 0; ++i) {
+    EraseSingle(L2pKey{MapGranularity::kPage, start + i}.Encoded());
   }
 }
 
 void L2PCache::InvalidateLpnRange(Lpn start, std::uint64_t count) {
   const std::uint64_t lo = start.value();
   const std::uint64_t hi = lo + count;  // exclusive
-  for (std::uint64_t lpn = lo; lpn < hi; ++lpn) {
-    Erase(L2pKey{MapGranularity::kPage, lpn});
+  EraseRunKeys(lo, hi);
+  for (std::uint64_t lpn = lo; lpn < hi && hashed_ != 0; ++lpn) {
+    EraseSingle(L2pKey{MapGranularity::kPage, lpn}.Encoded());
   }
   for (std::uint64_t c = lo / cfg_.lpns_per_chunk; c * cfg_.lpns_per_chunk < hi; ++c) {
-    Erase(L2pKey{MapGranularity::kChunk, c});
+    EraseSingle(L2pKey{MapGranularity::kChunk, c}.Encoded());
   }
   for (std::uint64_t z = lo / cfg_.lpns_per_zone; z * cfg_.lpns_per_zone < hi; ++z) {
-    Erase(L2pKey{MapGranularity::kZone, z});
+    EraseSingle(L2pKey{MapGranularity::kZone, z}.Encoded());
   }
 }
 

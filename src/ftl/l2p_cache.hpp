@@ -13,16 +13,29 @@
 // aggregated entry is generated, the finer-granularity entries it covers
 // are evicted to reclaim capacity.
 //
-// Storage: entries live in a flat slot array sized to the configured
-// capacity; the LRU chain is intrusive (prev/next slot indices inside
-// each entry) and the hash index is an open-addressing table of slot
-// indices (linear probing, backward-shift deletion). Lookups, inserts
-// and evictions touch contiguous memory and never allocate after
-// construction — this sits on the per-IO hot path of every read.
+// Storage: single entries live in a flat slot array sized to the
+// configured capacity; the LRU chain is intrusive (prev/next slot indices
+// inside each entry) and the hash index is an open-addressing table of
+// slot indices (linear probing, backward-shift deletion). Lookups,
+// inserts and evictions touch contiguous memory — this sits on the per-IO
+// hot path of every read.
+//
+// Runs: Legacy's sequential prefetch (§IV-C) inserts up to 1024 page
+// entries of one map page per miss. InsertRun keeps them as one LRU node
+// for the page-key range [lo, lo+len) — lower lpns older, as if inserted
+// one by one in ascending order — with their ppns in one contiguous
+// segment of a pool allocated on the first InsertRun. Run nodes are not
+// hashed; a sorted index of run start lpns finds them. Bulk eviction
+// trims the tail run from its low end; a hit, erase or invalidation
+// inside a run splits or trims it. Run nodes never move in the LRU, so
+// their pool segments stay in LRU order and the pool compacts by one
+// tail-to-head sweep. A cache that never sees InsertRun (ConZone) pays
+// one "any runs?" branch.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/fastdiv.hpp"
@@ -82,6 +95,15 @@ class L2PCache {
   /// unpinned entry is dropped.
   void Insert(const L2pKey& key, Ppn base_ppn, bool pinned = false);
 
+  /// Insert unpinned page entries for lpns first, first+1, ... with
+  /// `ppns[i]` the ppn of first+i. The result — resident set, LRU order
+  /// and every statistic — is exactly that of calling
+  /// Insert({kPage, first+i}, ppns[i]) for i = 0, 1, ... in order,
+  /// including keys already resident (refreshed, or evicted by an
+  /// earlier key of the run and re-inserted), pinned entries, and runs
+  /// longer than the capacity.
+  void InsertRun(Lpn first, std::span<const Ppn> ppns);
+
   void Erase(const L2pKey& key);
 
   /// Evict all finer-granularity entries whose range is covered by the
@@ -106,11 +128,13 @@ class L2PCache {
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
+  /// One LRU node: a single hashed entry, or a run of page entries.
   struct Slot {
-    std::uint64_t key = 0;  // encoded L2pKey
-    Ppn base_ppn;
+    std::uint64_t key = 0;    // single: encoded L2pKey; run: first lpn
+    std::uint64_t value = 0;  // single: ppn; run: pool_ offset of key's ppn
     std::uint32_t prev = kNil;  // intrusive LRU chain (head = most recent)
     std::uint32_t next = kNil;
+    std::uint32_t run_len = 0;  // 0 for a single entry
     bool pinned = false;
   };
 
@@ -125,23 +149,50 @@ class L2PCache {
   void LruPushFront(std::uint32_t slot);
   void LruMoveToFront(std::uint32_t slot);
 
-  void EvictOne();
-  /// Remove `slot` (already located at `bucket`) from table, LRU and the
-  /// slot free list.
-  void RemoveSlot(std::uint32_t slot, std::size_t bucket);
+  /// Evict up to `count` unpinned keys from the LRU end; returns how many.
+  std::uint64_t EvictTail(std::uint64_t count);
+  /// Link a new single entry at the LRU head, at `bucket` (its empty
+  /// bucket in table_).
+  void PushSingle(std::size_t bucket, std::uint64_t key, Ppn ppn, bool pinned);
+  /// Remove the single entry `slot` (located at `bucket`).
+  void RemoveSingle(std::uint32_t slot, std::size_t bucket);
+  /// Remove the single entry with encoded key `key`, if resident.
+  void EraseSingle(std::uint64_t key);
+
+  /// Position in runs_ of the first run ending after `lpn` (the run
+  /// covering it, if any); runs_.size() if none.
+  std::size_t RunPos(std::uint64_t lpn) const;
+  /// Lookup of page `lpn` among the runs (a hit moves it to the head).
+  std::optional<Ppn> LookupRun(std::uint64_t lpn);
+  /// True when runs_[pos] exists and covers `lpn`.
+  bool RunCovers(std::size_t pos, std::uint64_t lpn) const;
+  /// Link a run of the non-resident keys [lo, lo+ppns.size()) at the LRU
+  /// head (extending the head run when it ends at lo).
+  void PushRunFront(std::uint64_t lo, std::span<const Ppn> ppns);
+  /// Remove keys [lo, hi) from runs_[pos], which covers them: trims an
+  /// end, splits the run in two, or unlinks it.
+  void CutRun(std::size_t pos, std::uint64_t lo, std::uint64_t hi);
+  /// Remove every run key in [lo, hi).
+  void EraseRunKeys(std::uint64_t lo, std::uint64_t hi);
+  /// Reserve `n` contiguous pool entries, compacting the pool if needed.
+  std::uint64_t AllocatePool(std::uint64_t n);
 
   L2pCacheConfig cfg_;
   std::uint64_t max_entries_;
   // Reciprocals for KeyFor — probed up to three times per read IO.
   FastDiv div_lpns_per_chunk_;
   FastDiv div_lpns_per_zone_;
-  std::vector<Slot> slots_;             // flat entry storage
+  std::vector<Slot> slots_;             // flat node storage
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> table_;    // open addressing: slot index or kNil
   std::uint64_t table_mask_ = 0;        // table_.size() - 1 (power of two)
   std::uint32_t lru_head_ = kNil;       // most recently used
   std::uint32_t lru_tail_ = kNil;       // least recently used
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> runs_;     // run slots, sorted by first lpn
+  std::vector<Ppn> pool_;               // run ppns; sized on first InsertRun
+  std::uint64_t pool_end_ = 0;          // first unused pool_ entry
+  std::size_t size_ = 0;                // resident keys (singles + run keys)
+  std::size_t hashed_ = 0;              // single entries in table_
   std::size_t pinned_count_ = 0;
   L2pCacheStats stats_;
 };

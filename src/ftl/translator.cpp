@@ -1,5 +1,6 @@
 #include "ftl/translator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -11,7 +12,9 @@ Lpn AlignToUnit(Lpn lpn, std::uint64_t unit) { return Lpn(lpn.value() / unit * u
 
 Translator::Translator(MappingTable& table, L2PCache& cache,
                        const PhysicalResolver& resolver, const TranslatorConfig& config)
-    : table_(table), cache_(cache), resolver_(resolver), cfg_(config) {}
+    : table_(table), cache_(cache), resolver_(resolver), cfg_(config) {
+  prefetch_.reserve(std::size_t{cfg_.prefetch_window} + 1);
+}
 
 std::uint64_t Translator::StrategySramBytes() const {
   if (cfg_.strategy != L2pSearchStrategy::kBitmap || !cfg_.hybrid) return 0;
@@ -147,21 +150,25 @@ Result<TranslateOutcome> Translator::MissPinnedOrPage(Lpn lpn, TranslateOutcome 
   stats_.map_fetches += 1;
   out.gran = MapGranularity::kPage;
   out.ppn = table_.Get(lpn).ppn;
-  cache_.Insert(cache_.KeyFor(MapGranularity::kPage, lpn), out.ppn, /*pinned=*/false);
-
-  if (cfg_.prefetch_window > 0) {
-    // Sequential prefetch (Legacy, §IV-C): pull following entries from the
-    // already-fetched map page at no extra flash cost.
-    const std::uint64_t per_page = table_.geometry().entries_per_map_page;
-    const std::uint64_t page_end = (lpn.value() / per_page + 1) * per_page;
-    const std::uint64_t end = std::min({lpn.value() + 1 + cfg_.prefetch_window, page_end,
-                                        table_.geometry().num_lpns});
-    for (std::uint64_t l = lpn.value() + 1; l < end; ++l) {
-      const MapEntry e = table_.Get(Lpn(l));
-      if (!e.mapped()) break;
-      cache_.Insert(cache_.KeyFor(MapGranularity::kPage, Lpn(l)), e.ppn, false);
-    }
+  if (cfg_.prefetch_window == 0) {
+    cache_.Insert(cache_.KeyFor(MapGranularity::kPage, lpn), out.ppn, /*pinned=*/false);
+    return out;
   }
+  // Sequential prefetch (Legacy, §IV-C): the missed entry plus the mapped
+  // entries following it in the already-fetched map page, at no extra
+  // flash cost, inserted as one run.
+  const std::uint64_t per_page = table_.geometry().entries_per_map_page;
+  const std::uint64_t page_end = (lpn.value() / per_page + 1) * per_page;
+  const std::uint64_t end = std::min({lpn.value() + 1 + cfg_.prefetch_window, page_end,
+                                      table_.geometry().num_lpns});
+  prefetch_.clear();
+  prefetch_.push_back(out.ppn);
+  for (std::uint64_t l = lpn.value() + 1; l < end; ++l) {
+    const MapEntry e = table_.Get(Lpn(l));
+    if (!e.mapped()) break;
+    prefetch_.push_back(e.ppn);
+  }
+  cache_.InsertRun(lpn, prefetch_);
   return out;
 }
 

@@ -28,6 +28,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/status.hpp"
@@ -149,6 +150,7 @@ class Translator {
   const PhysicalResolver& resolver_;
   TranslatorConfig cfg_;
   TranslatorStats stats_;
+  std::vector<Ppn> prefetch_;  // MissPinnedOrPage's prefetch run, reused
 };
 
 }  // namespace conzone

@@ -2,6 +2,15 @@
 // LRU, pinning) and the translator's three search strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "ftl/l2p_cache.hpp"
 #include "ftl/mapping.hpp"
 #include "ftl/translator.hpp"
@@ -262,6 +271,220 @@ TEST(L2PCacheTest, HeavyChurnKeepsHashIndexConsistent) {
       if (i % 2 == 1) {
         ASSERT_TRUE(hit.has_value()) << "lost key " << k;
         EXPECT_EQ(hit.value(), Ppn{k});
+      }
+    }
+  }
+}
+
+// --- l2p cache: InsertRun against an independent reference LRU ---
+
+/// The L2P cache's contract written the plain way: std::list for recency
+/// (front = most recent) plus a map from encoded key to list position.
+/// InsertRun is defined as the sequence of Inserts it stands for.
+class ReferenceL2p {
+ public:
+  ReferenceL2p(std::uint64_t capacity, std::uint64_t lpns_per_chunk,
+               std::uint64_t lpns_per_zone)
+      : cap_(capacity), per_chunk_(lpns_per_chunk), per_zone_(lpns_per_zone) {}
+
+  std::optional<Ppn> Lookup(const L2pKey& k) {
+    ++stats_.lookups;
+    auto it = where_.find(k.Encoded());
+    if (it == where_.end()) return std::nullopt;
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->ppn;
+  }
+
+  std::optional<Ppn> Peek(const L2pKey& k) const {
+    auto it = where_.find(k.Encoded());
+    if (it == where_.end()) return std::nullopt;
+    return it->second->ppn;
+  }
+
+  void Insert(const L2pKey& k, Ppn ppn, bool pinned) {
+    if (cap_ == 0) return;
+    auto it = where_.find(k.Encoded());
+    if (it != where_.end()) {
+      it->second->ppn = ppn;
+      it->second->pinned = pinned;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (lru_.size() >= cap_) {
+      auto victim = lru_.end();
+      for (auto v = lru_.rbegin(); v != lru_.rend(); ++v) {
+        if (!v->pinned) {
+          victim = std::prev(v.base());
+          break;
+        }
+      }
+      if (victim == lru_.end()) {  // every resident entry is pinned
+        ++stats_.rejected_insertions;
+        return;
+      }
+      where_.erase(victim->key);
+      lru_.erase(victim);
+      ++stats_.evictions;
+    }
+    lru_.push_front(Entry{k.Encoded(), ppn, pinned});
+    where_[k.Encoded()] = lru_.begin();
+    ++stats_.insertions;
+  }
+
+  void InsertRun(Lpn first, const std::vector<Ppn>& ppns) {
+    for (std::size_t i = 0; i < ppns.size(); ++i) {
+      Insert({MapGranularity::kPage, first.value() + i}, ppns[i], false);
+    }
+  }
+
+  void Erase(const L2pKey& k) {
+    auto it = where_.find(k.Encoded());
+    if (it == where_.end()) return;
+    lru_.erase(it->second);
+    where_.erase(it);
+  }
+
+  void EvictCoveredBy(const L2pKey& k) {
+    if (k.gran == MapGranularity::kPage) return;
+    const std::uint64_t unit = k.gran == MapGranularity::kZone ? per_zone_ : per_chunk_;
+    const std::uint64_t start = k.index * unit;
+    if (k.gran == MapGranularity::kZone) {
+      for (std::uint64_t c = 0; c < unit / per_chunk_; ++c) {
+        Erase({MapGranularity::kChunk, start / per_chunk_ + c});
+      }
+    }
+    for (std::uint64_t i = 0; i < unit; ++i) Erase({MapGranularity::kPage, start + i});
+  }
+
+  void InvalidateLpnRange(Lpn start, std::uint64_t count) {
+    const std::uint64_t lo = start.value();
+    const std::uint64_t hi = lo + count;
+    for (std::uint64_t l = lo; l < hi; ++l) Erase({MapGranularity::kPage, l});
+    for (std::uint64_t c = lo / per_chunk_; c * per_chunk_ < hi; ++c) {
+      Erase({MapGranularity::kChunk, c});
+    }
+    for (std::uint64_t z = lo / per_zone_; z * per_zone_ < hi; ++z) {
+      Erase({MapGranularity::kZone, z});
+    }
+  }
+
+  /// Least recently used page key, if the LRU end holds one.
+  std::optional<std::uint64_t> TailPageLpn() const {
+    if (lru_.empty() || (lru_.back().key & 3) != 0) return std::nullopt;
+    return lru_.back().key >> 2;
+  }
+
+  std::size_t size() const { return lru_.size(); }
+  const L2pCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    Ppn ppn;
+    bool pinned;
+  };
+  std::uint64_t cap_, per_chunk_, per_zone_;
+  std::list<Entry> lru_;
+  std::map<std::uint64_t, std::list<Entry>::iterator> where_;
+  L2pCacheStats stats_;
+};
+
+TEST(L2PCacheTest, InsertRunMatchesSequentialInsertsUnderRandomOps) {
+  // 8 zones x 4 chunks x 4 pages: 128 page, 32 chunk and 8 zone keys.
+  constexpr std::uint64_t kLpns = 128;
+  constexpr std::uint64_t kPerChunk = 4;
+  constexpr std::uint64_t kPerZone = 16;
+  auto random_key = [&](Rng& rng) {
+    switch (rng.NextBelow(4)) {
+      case 0: return L2pKey{MapGranularity::kZone, rng.NextBelow(kLpns / kPerZone)};
+      case 1: return L2pKey{MapGranularity::kChunk, rng.NextBelow(kLpns / kPerChunk)};
+      default: return L2pKey{MapGranularity::kPage, rng.NextBelow(kLpns)};
+    }
+  };
+  for (std::uint64_t cap : {0u, 1u, 8u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      L2pCacheConfig cfg;
+      cfg.capacity_bytes = cap * 4;
+      cfg.entry_bytes = 4;
+      cfg.lpns_per_chunk = kPerChunk;
+      cfg.lpns_per_zone = kPerZone;
+      L2PCache cache(cfg);
+      ReferenceL2p ref(cap, kPerChunk, kPerZone);
+      Rng rng(seed * 1000 + cap);
+      std::uint64_t next_ppn = 1;
+      for (int op = 0; op < 1500; ++op) {
+        const std::uint64_t dice = rng.NextBelow(100);
+        std::string what;
+        if (dice < 18) {
+          const L2pKey k = random_key(rng);
+          const Ppn p{next_ppn++};
+          cache.Insert(k, p);
+          ref.Insert(k, p, false);
+          what = "Insert";
+        } else if (dice < 26) {
+          const L2pKey k = random_key(rng);
+          const Ppn p{next_ppn++};
+          cache.Insert(k, p, /*pinned=*/true);
+          ref.Insert(k, p, true);
+          what = "pinned Insert";
+        } else if (dice < 52) {
+          // Half the runs start at or just below the LRU tail's key, so
+          // they overlap resident keys about to be evicted; lengths reach
+          // past the largest capacity.
+          std::uint64_t first = rng.NextBelow(kLpns);
+          if (auto tail = ref.TailPageLpn(); tail && rng.NextBool(0.5)) {
+            first = *tail - std::min<std::uint64_t>(*tail, rng.NextBelow(4));
+          }
+          const std::uint64_t len = 1 + rng.NextBelow(rng.NextBool(0.2) ? 100 : 12);
+          std::vector<Ppn> ppns;
+          for (std::uint64_t i = 0; i < len; ++i) ppns.push_back(Ppn{next_ppn++});
+          cache.InsertRun(Lpn{first}, ppns);
+          ref.InsertRun(Lpn{first}, ppns);
+          what = "InsertRun(" + std::to_string(first) + ", " + std::to_string(len) + ")";
+        } else if (dice < 78) {
+          const L2pKey k = random_key(rng);
+          ASSERT_EQ(cache.Lookup(k), ref.Lookup(k)) << "op " << op;
+          what = "Lookup";
+        } else if (dice < 88) {
+          const L2pKey k = random_key(rng);
+          cache.Erase(k);
+          ref.Erase(k);
+          what = "Erase";
+        } else if (dice < 92) {
+          const L2pKey k = random_key(rng);
+          cache.EvictCoveredBy(k);
+          ref.EvictCoveredBy(k);
+          what = "EvictCoveredBy";
+        } else {
+          const std::uint64_t start = rng.NextBelow(kLpns);
+          const std::uint64_t count = 1 + rng.NextBelow(24);
+          cache.InvalidateLpnRange(Lpn{start}, count);
+          ref.InvalidateLpnRange(Lpn{start}, count);
+          what = "InvalidateLpnRange";
+        }
+        SCOPED_TRACE("cap " + std::to_string(cap) + " seed " + std::to_string(seed) +
+                     " op " + std::to_string(op) + " " + what);
+        ASSERT_EQ(cache.size(), ref.size());
+        const L2pCacheStats& a = cache.stats();
+        const L2pCacheStats& b = ref.stats();
+        ASSERT_EQ(a.lookups, b.lookups);
+        ASSERT_EQ(a.hits, b.hits);
+        ASSERT_EQ(a.insertions, b.insertions);
+        ASSERT_EQ(a.evictions, b.evictions);
+        ASSERT_EQ(a.rejected_insertions, b.rejected_insertions);
+        for (std::uint64_t l = 0; l < kLpns + 100; ++l) {
+          const L2pKey k{MapGranularity::kPage, l};
+          ASSERT_EQ(cache.Peek(k), ref.Peek(k)) << "page " << l;
+        }
+        for (std::uint64_t c = 0; c < kLpns / kPerChunk; ++c) {
+          const L2pKey k{MapGranularity::kChunk, c};
+          ASSERT_EQ(cache.Peek(k), ref.Peek(k)) << "chunk " << c;
+        }
+        for (std::uint64_t z = 0; z < kLpns / kPerZone; ++z) {
+          const L2pKey k{MapGranularity::kZone, z};
+          ASSERT_EQ(cache.Peek(k), ref.Peek(k)) << "zone " << z;
+        }
       }
     }
   }

@@ -143,6 +143,45 @@ TEST_F(LegacyDeviceTest, PrefetchServesSequentialReads) {
   EXPECT_LT(dev_->translator().stats().MissRate(), 0.01);
 }
 
+TEST_F(LegacyDeviceTest, RandomMixPinsL2pCounters) {
+  // A seeded 4 KiB random read/write mix over 64 MiB (16 map pages, far
+  // more than the 3,072-entry cache). The exact translator and cache
+  // counters pin the prefetch path's insert/evict/hit accounting, which
+  // the simulated timing alone would not reveal.
+  SimTime t;
+  const std::uint64_t region = 64 * kMiB;
+  WriteAt(0, region, t);
+  auto f = dev_->Flush(t);
+  ASSERT_TRUE(f.ok());
+  t = f.value();
+  dev_->ResetStats();
+  Rng rng(2024);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t off = rng.NextBelow(region / 4096) * 4096;
+    if (rng.NextBelow(3) == 0) {
+      WriteAt(off, 4096, t, 1);
+    } else {
+      auto r = TestRead(*dev_, off, 4096, t);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      t = r.value();
+    }
+  }
+  const TranslatorStats& ts = dev_->translator().stats();
+  EXPECT_EQ(ts.translations, 1989u);
+  EXPECT_EQ(ts.cache_hits, 370u);
+  EXPECT_EQ(ts.map_fetches, 1619u);
+  EXPECT_EQ(ts.hits_by_gran[0], 370u);
+  EXPECT_EQ(ts.hits_by_gran[1], 0u);
+  EXPECT_EQ(ts.hits_by_gran[2], 0u);
+  const L2pCacheStats& cs = dev_->l2p_cache().stats();
+  EXPECT_EQ(cs.lookups, 1989u);
+  EXPECT_EQ(cs.hits, 370u);
+  EXPECT_EQ(cs.insertions, 1340030u);
+  EXPECT_EQ(cs.evictions, 1336778u);
+  EXPECT_EQ(cs.rejected_insertions, 0u);
+  EXPECT_EQ(dev_->l2p_cache().size(), 3072u);
+}
+
 // --- FEMU model ---
 
 class FemuDeviceTest : public ::testing::Test {
