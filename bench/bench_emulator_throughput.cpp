@@ -9,9 +9,8 @@
 // paths): run it before and after, and check sim_ios_per_s.
 //
 // Reference numbers are checked in at BENCH_emulator_throughput.json
-// (regenerate with:
-//   bench_emulator_throughput --benchmark_out=BENCH_emulator_throughput.json \
-//       --benchmark_out_format=json
+// (regenerate from a Release build with:
+//   BENCH_ARGS="--benchmark_repetitions=5" bench/run_bench.sh
 // absolute numbers are machine-dependent; compare ratios, not values).
 //
 // Simulated IOPS (sim_kiops) is exported too: it must be monotonically
@@ -118,6 +117,25 @@ void BM_Mixed4K(::benchmark::State& state) {
     ResetWriteZones(*dev, cur);
     RunResult r = MustRun(
         *dev, {ReadSpec(20000, 1, iodepth), WriteSpec(16384, 2, iodepth)}, cur);
+    cur = r.end_time;
+    ios += r.total.ops;
+    events += r.events;
+    sim_kiops = r.Kiops();
+  }
+  ExportWallClock(state, ios, events, sim_kiops);
+}
+
+// Legacy's page-mapped read path: each L2P miss prefetches the rest of
+// its map page into the cache as one run (§IV-C), so this row prices the
+// Translator/L2PCache run path that no ConZone row reaches.
+void BM_LegacyRandRead4K(::benchmark::State& state) {
+  auto dev = MakeLegacy();
+  SimTime cur = MustPrecondition(*dev, 0, kRegion);
+  constexpr std::uint64_t kIos = 20000;
+  std::uint64_t ios = 0, events = 0;
+  double sim_kiops = 0;
+  for (auto _ : state) {
+    RunResult r = MustRun(*dev, {ReadSpec(kIos, 1, /*iodepth=*/1)}, cur);
     cur = r.end_time;
     ios += r.total.ops;
     events += r.events;
@@ -406,6 +424,7 @@ void BM_Remount(::benchmark::State& state) {
 BENCHMARK(BM_RandRead4K)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(::benchmark::kMillisecond);
 BENCHMARK(BM_SeqWrite4K)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(::benchmark::kMillisecond);
 BENCHMARK(BM_Mixed4K)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(::benchmark::kMillisecond);
+BENCHMARK(BM_LegacyRandRead4K)->Unit(::benchmark::kMillisecond);
 // Real time, not CPU time: the work happens on pool threads, and the
 // point is wall-clock scale-out.
 BENCHMARK(BM_ShardedRandRead4K)

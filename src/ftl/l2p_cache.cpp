@@ -157,11 +157,11 @@ std::optional<Ppn> L2PCache::Lookup(const L2pKey& key) {
   ++stats_.hits;
   const std::uint32_t slot = runs_[pos];
   const Slot& r = slots_[slot];
-  const Ppn ppn = pool_[r.value + (lpn - r.key)];
+  const Ppn ppn = run_table_->Get(Lpn(lpn)).ppn;
   // The newest key of the head run is already most recent.
   if (slot == lru_head_ && lpn + 1 == r.key + r.run_len) return ppn;
   CutRun(pos, lpn, lpn + 1);
-  PushRunFront(lpn, std::span<const Ppn>(&ppn, 1));
+  PushRunFront(lpn, 1);
   return ppn;
 }
 
@@ -172,10 +172,8 @@ std::optional<Ppn> L2PCache::Peek(const L2pKey& key) const {
     if (found) return Ppn(slots_[table_[b]].value);
   }
   if (runs_.empty() || key.gran != MapGranularity::kPage) return std::nullopt;
-  const std::size_t pos = RunPos(key.index);
-  if (!RunCovers(pos, key.index)) return std::nullopt;
-  const Slot& r = slots_[runs_[pos]];
-  return pool_[r.value + (key.index - r.key)];
+  if (!RunCovers(RunPos(key.index), key.index)) return std::nullopt;
+  return run_table_->Get(Lpn(key.index)).ppn;
 }
 
 void L2PCache::PushSingle(std::size_t bucket, std::uint64_t key, Ppn ppn, bool pinned) {
@@ -225,55 +223,19 @@ bool L2PCache::RunCovers(std::size_t pos, std::uint64_t lpn) const {
   return pos < runs_.size() && slots_[runs_[pos]].key <= lpn;
 }
 
-std::uint64_t L2PCache::AllocatePool(std::uint64_t n) {
-  // Twice the capacity: a compaction frees at least max_entries_ - n
-  // entries, so compactions cost O(1) amortized per inserted key.
-  if (pool_.empty()) {
-    pool_.resize(2 * max_entries_);
-    runs_.reserve(max_entries_);
-  }
-  if (pool_end_ + n > pool_.size()) {
-    // Run segments lie in the pool in LRU order (runs are only ever
-    // created at the head and never move), so sliding each one down in
-    // tail-to-head order never overwrites a live entry.
-    std::uint64_t dst = 0;
-    for (std::uint32_t s = lru_tail_; s != kNil; s = slots_[s].prev) {
-      Slot& r = slots_[s];
-      if (r.run_len == 0) continue;
-      assert(r.value >= dst);
-      std::copy(pool_.data() + r.value, pool_.data() + r.value + r.run_len,
-                pool_.data() + dst);
-      r.value = dst;
-      dst += r.run_len;
-    }
-    pool_end_ = dst;
-  }
-  assert(pool_end_ + n <= pool_.size());
-  const std::uint64_t seg = pool_end_;
-  pool_end_ += n;
-  return seg;
-}
-
-void L2PCache::PushRunFront(std::uint64_t lo, std::span<const Ppn> ppns) {
-  const std::uint64_t n = ppns.size();
+void L2PCache::PushRunFront(std::uint64_t lo, std::uint64_t n) {
   size_ += n;
   if (lru_head_ != kNil) {
     Slot& h = slots_[lru_head_];
-    if (h.run_len != 0 && h.key + h.run_len == lo && h.value + h.run_len == pool_end_ &&
-        pool_end_ + n <= pool_.size()) {
-      std::copy(ppns.begin(), ppns.end(), pool_.data() + pool_end_);
-      pool_end_ += n;
+    if (h.run_len != 0 && h.key + h.run_len == lo) {
       h.run_len += static_cast<std::uint32_t>(n);
       return;
     }
   }
-  const std::uint64_t seg = AllocatePool(n);
-  std::copy(ppns.begin(), ppns.end(), pool_.data() + seg);
   const std::uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
   Slot& r = slots_[slot];
   r.key = lo;
-  r.value = seg;
   r.run_len = static_cast<std::uint32_t>(n);
   r.pinned = false;
   LruPushFront(slot);
@@ -291,7 +253,6 @@ void L2PCache::CutRun(std::size_t pos, std::uint64_t lo, std::uint64_t hi) {
     free_slots_.push_back(slot);
     runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(pos));
   } else if (lo == r.key) {
-    r.value += hi - lo;
     r.key = hi;
     r.run_len = static_cast<std::uint32_t>(end - hi);
   } else if (hi == end) {
@@ -303,7 +264,6 @@ void L2PCache::CutRun(std::size_t pos, std::uint64_t lo, std::uint64_t hi) {
     free_slots_.pop_back();
     Slot& u = slots_[upper];
     u.key = hi;
-    u.value = r.value + (hi - r.key);
     u.run_len = static_cast<std::uint32_t>(end - hi);
     u.pinned = false;
     u.next = slot;
@@ -398,10 +358,16 @@ void L2PCache::Insert(const L2pKey& key, Ppn base_ppn, bool pinned) {
   ++stats_.insertions;
 }
 
-void L2PCache::InsertRun(Lpn first, std::span<const Ppn> ppns) {
+void L2PCache::InsertRun(const MappingTable& table, Lpn first, std::uint64_t count) {
+  assert(run_table_ == nullptr || run_table_ == &table);
+  assert(first.value() + count <= table.geometry().num_lpns);
   if (max_entries_ == 0) return;
+  if (run_table_ == nullptr) {
+    run_table_ = &table;
+    runs_.reserve(max_entries_);
+  }
   const std::uint64_t lo = first.value();
-  const std::uint64_t n = ppns.size();
+  const std::uint64_t n = count;
   // Keys [lo + r_lo, lo + i) are the run's keys inserted or refreshed so
   // far. Sequential inserts would have put them at the head in ascending
   // order; they stay unlinked (outside size_) until the end, where they
@@ -457,7 +423,7 @@ void L2PCache::InsertRun(Lpn first, std::span<const Ppn> ppns) {
       i = end - lo;
     }
   }
-  if (r_lo < n) PushRunFront(lo + r_lo, ppns.subspan(r_lo));
+  if (r_lo < n) PushRunFront(lo + r_lo, n - r_lo);
 }
 
 void L2PCache::Erase(const L2pKey& key) {

@@ -23,19 +23,17 @@
 // Runs: Legacy's sequential prefetch (§IV-C) inserts up to 1024 page
 // entries of one map page per miss. InsertRun keeps them as one LRU node
 // for the page-key range [lo, lo+len) — lower lpns older, as if inserted
-// one by one in ascending order — with their ppns in one contiguous
-// segment of a pool allocated on the first InsertRun. Run nodes are not
-// hashed; a sorted index of run start lpns finds them. Bulk eviction
-// trims the tail run from its low end; a hit, erase or invalidation
-// inside a run splits or trims it. Run nodes never move in the LRU, so
-// their pool segments stay in LRU order and the pool compacts by one
-// tail-to-head sweep. A cache that never sees InsertRun (ConZone) pays
+// one by one in ascending order. A run node holds keys only: a hit on a
+// run key reads its ppn from the mapping table, which is current because
+// every table write erases the key it changes. Run nodes are not hashed;
+// a sorted index of run start lpns finds them. Bulk eviction trims the
+// tail run from its low end; a hit, erase or invalidation inside a run
+// splits or trims it. A cache that never sees InsertRun (ConZone) pays
 // one "any runs?" branch.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/fastdiv.hpp"
@@ -95,14 +93,15 @@ class L2PCache {
   /// unpinned entry is dropped.
   void Insert(const L2pKey& key, Ppn base_ppn, bool pinned = false);
 
-  /// Insert unpinned page entries for lpns first, first+1, ... with
-  /// `ppns[i]` the ppn of first+i. The result — resident set, LRU order
-  /// and every statistic — is exactly that of calling
-  /// Insert({kPage, first+i}, ppns[i]) for i = 0, 1, ... in order,
-  /// including keys already resident (refreshed, or evicted by an
-  /// earlier key of the run and re-inserted), pinned entries, and runs
-  /// longer than the capacity.
-  void InsertRun(Lpn first, std::span<const Ppn> ppns);
+  /// Insert unpinned page entries for lpns first .. first+count-1. The
+  /// result — resident set, LRU order and every statistic — is exactly
+  /// that of calling Insert({kPage, l}, table.Get(l).ppn) for l = first,
+  /// first+1, ... in order, including keys already resident (refreshed,
+  /// or evicted by an earlier key of the run and re-inserted), pinned
+  /// entries, and runs longer than the capacity. The run keys' ppns are
+  /// read from `table` on each hit, so the caller erases a key whenever
+  /// it changes the key's table entry. One table per cache.
+  void InsertRun(const MappingTable& table, Lpn first, std::uint64_t count);
 
   void Erase(const L2pKey& key);
 
@@ -131,7 +130,7 @@ class L2PCache {
   /// One LRU node: a single hashed entry, or a run of page entries.
   struct Slot {
     std::uint64_t key = 0;    // single: encoded L2pKey; run: first lpn
-    std::uint64_t value = 0;  // single: ppn; run: pool_ offset of key's ppn
+    std::uint64_t value = 0;  // single: ppn (run ppns come from run_table_)
     std::uint32_t prev = kNil;  // intrusive LRU chain (head = most recent)
     std::uint32_t next = kNil;
     std::uint32_t run_len = 0;  // 0 for a single entry
@@ -166,16 +165,14 @@ class L2PCache {
   std::optional<Ppn> LookupRun(std::uint64_t lpn);
   /// True when runs_[pos] exists and covers `lpn`.
   bool RunCovers(std::size_t pos, std::uint64_t lpn) const;
-  /// Link a run of the non-resident keys [lo, lo+ppns.size()) at the LRU
-  /// head (extending the head run when it ends at lo).
-  void PushRunFront(std::uint64_t lo, std::span<const Ppn> ppns);
+  /// Link a run of the non-resident keys [lo, lo+n) at the LRU head
+  /// (extending the head run when it ends at lo).
+  void PushRunFront(std::uint64_t lo, std::uint64_t n);
   /// Remove keys [lo, hi) from runs_[pos], which covers them: trims an
   /// end, splits the run in two, or unlinks it.
   void CutRun(std::size_t pos, std::uint64_t lo, std::uint64_t hi);
   /// Remove every run key in [lo, hi).
   void EraseRunKeys(std::uint64_t lo, std::uint64_t hi);
-  /// Reserve `n` contiguous pool entries, compacting the pool if needed.
-  std::uint64_t AllocatePool(std::uint64_t n);
 
   L2pCacheConfig cfg_;
   std::uint64_t max_entries_;
@@ -189,8 +186,7 @@ class L2PCache {
   std::uint32_t lru_head_ = kNil;       // most recently used
   std::uint32_t lru_tail_ = kNil;       // least recently used
   std::vector<std::uint32_t> runs_;     // run slots, sorted by first lpn
-  std::vector<Ppn> pool_;               // run ppns; sized on first InsertRun
-  std::uint64_t pool_end_ = 0;          // first unused pool_ entry
+  const MappingTable* run_table_ = nullptr;  // run keys' ppns; set by InsertRun
   std::size_t size_ = 0;                // resident keys (singles + run keys)
   std::size_t hashed_ = 0;              // single entries in table_
   std::size_t pinned_count_ = 0;

@@ -12,9 +12,7 @@ Lpn AlignToUnit(Lpn lpn, std::uint64_t unit) { return Lpn(lpn.value() / unit * u
 
 Translator::Translator(MappingTable& table, L2PCache& cache,
                        const PhysicalResolver& resolver, const TranslatorConfig& config)
-    : table_(table), cache_(cache), resolver_(resolver), cfg_(config) {
-  prefetch_.reserve(std::size_t{cfg_.prefetch_window} + 1);
-}
+    : table_(table), cache_(cache), resolver_(resolver), cfg_(config) {}
 
 std::uint64_t Translator::StrategySramBytes() const {
   if (cfg_.strategy != L2pSearchStrategy::kBitmap || !cfg_.hybrid) return 0;
@@ -161,14 +159,9 @@ Result<TranslateOutcome> Translator::MissPinnedOrPage(Lpn lpn, TranslateOutcome 
   const std::uint64_t page_end = (lpn.value() / per_page + 1) * per_page;
   const std::uint64_t end = std::min({lpn.value() + 1 + cfg_.prefetch_window, page_end,
                                       table_.geometry().num_lpns});
-  prefetch_.clear();
-  prefetch_.push_back(out.ppn);
-  for (std::uint64_t l = lpn.value() + 1; l < end; ++l) {
-    const MapEntry e = table_.Get(Lpn(l));
-    if (!e.mapped()) break;
-    prefetch_.push_back(e.ppn);
-  }
-  cache_.InsertRun(lpn, prefetch_);
+  std::uint64_t l = lpn.value() + 1;
+  while (l < end && table_.Get(Lpn(l)).mapped()) ++l;
+  cache_.InsertRun(table_, lpn, l - lpn.value());
   return out;
 }
 

@@ -28,7 +28,6 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/status.hpp"
@@ -150,7 +149,6 @@ class Translator {
   const PhysicalResolver& resolver_;
   TranslatorConfig cfg_;
   TranslatorStats stats_;
-  std::vector<Ppn> prefetch_;  // MissPinnedOrPage's prefetch run, reused
 };
 
 }  // namespace conzone

@@ -87,6 +87,7 @@ class LegacyDevice final : public StorageDevice {
   const LegacyStats& stats() const { return stats_; }
   const MediaCounters& media_counters() const { return array_.counters(); }
   const Translator& translator() const { return translator_; }
+  const MappingTable& mapping() const { return table_; }
   const L2PCache& l2p_cache() const { return cache_; }
   void ResetStats();
 

@@ -332,9 +332,9 @@ class ReferenceL2p {
     ++stats_.insertions;
   }
 
-  void InsertRun(Lpn first, const std::vector<Ppn>& ppns) {
-    for (std::size_t i = 0; i < ppns.size(); ++i) {
-      Insert({MapGranularity::kPage, first.value() + i}, ppns[i], false);
+  void InsertRun(const MappingTable& table, Lpn first, std::uint64_t count) {
+    for (std::uint64_t l = first.value(); l < first.value() + count; ++l) {
+      Insert({MapGranularity::kPage, l}, table.Get(Lpn{l}).ppn, false);
     }
   }
 
@@ -392,9 +392,12 @@ class ReferenceL2p {
 
 TEST(L2PCacheTest, InsertRunMatchesSequentialInsertsUnderRandomOps) {
   // 8 zones x 4 chunks x 4 pages: 128 page, 32 chunk and 8 zone keys.
+  // Runs that start at the LRU tail creep upward past kLpns, so the
+  // mapping table they read their ppns from is far larger.
   constexpr std::uint64_t kLpns = 128;
   constexpr std::uint64_t kPerChunk = 4;
   constexpr std::uint64_t kPerZone = 16;
+  constexpr std::uint64_t kTableLpns = 1 << 18;
   auto random_key = [&](Rng& rng) {
     switch (rng.NextBelow(4)) {
       case 0: return L2pKey{MapGranularity::kZone, rng.NextBelow(kLpns / kPerZone)};
@@ -409,10 +412,17 @@ TEST(L2PCacheTest, InsertRunMatchesSequentialInsertsUnderRandomOps) {
       cfg.entry_bytes = 4;
       cfg.lpns_per_chunk = kPerChunk;
       cfg.lpns_per_zone = kPerZone;
+      MappingGeometry geo;
+      geo.num_lpns = kTableLpns;
+      geo.lpns_per_chunk = kPerChunk;
+      geo.lpns_per_zone = kPerZone;
+      MappingTable table(geo);
+      for (std::uint64_t l = 0; l < kTableLpns; ++l) table.Set(Lpn{l}, Ppn{l});
       L2PCache cache(cfg);
       ReferenceL2p ref(cap, kPerChunk, kPerZone);
       Rng rng(seed * 1000 + cap);
-      std::uint64_t next_ppn = 1;
+      std::uint64_t next_ppn = kTableLpns;
+      std::uint64_t top = kLpns;  // one past the highest run key so far
       for (int op = 0; op < 1500; ++op) {
         const std::uint64_t dice = rng.NextBelow(100);
         std::string what;
@@ -437,10 +447,18 @@ TEST(L2PCacheTest, InsertRunMatchesSequentialInsertsUnderRandomOps) {
             first = *tail - std::min<std::uint64_t>(*tail, rng.NextBelow(4));
           }
           const std::uint64_t len = 1 + rng.NextBelow(rng.NextBool(0.2) ? 100 : 12);
-          std::vector<Ppn> ppns;
-          for (std::uint64_t i = 0; i < len; ++i) ppns.push_back(Ppn{next_ppn++});
-          cache.InsertRun(Lpn{first}, ppns);
-          ref.InsertRun(Lpn{first}, ppns);
+          // Half the runs remap their lpns first, erasing each key as
+          // the devices do on every table write.
+          if (rng.NextBool(0.5)) {
+            for (std::uint64_t l = first; l < first + len; ++l) {
+              cache.Erase({MapGranularity::kPage, l});
+              ref.Erase({MapGranularity::kPage, l});
+              table.Set(Lpn{l}, Ppn{next_ppn++});
+            }
+          }
+          cache.InsertRun(table, Lpn{first}, len);
+          ref.InsertRun(table, Lpn{first}, len);
+          top = std::max(top, first + len);
           what = "InsertRun(" + std::to_string(first) + ", " + std::to_string(len) + ")";
         } else if (dice < 78) {
           const L2pKey k = random_key(rng);
@@ -473,7 +491,7 @@ TEST(L2PCacheTest, InsertRunMatchesSequentialInsertsUnderRandomOps) {
         ASSERT_EQ(a.insertions, b.insertions);
         ASSERT_EQ(a.evictions, b.evictions);
         ASSERT_EQ(a.rejected_insertions, b.rejected_insertions);
-        for (std::uint64_t l = 0; l < kLpns + 100; ++l) {
+        for (std::uint64_t l = 0; l < top; ++l) {
           const L2pKey k{MapGranularity::kPage, l};
           ASSERT_EQ(cache.Peek(k), ref.Peek(k)) << "page " << l;
         }
@@ -606,13 +624,38 @@ TEST_F(TranslatorTest, PrefetchWindowFillsFollowingEntries) {
                        /*prefetch=*/16);
   auto r = tr.Translate(Lpn{8192});
   ASSERT_TRUE(r.ok());
-  // The next 16 lpns are now cached without extra fetches.
+  // The next 16 lpns are now cached without extra fetches, and each hit
+  // returns the table's ppn.
   for (std::uint64_t i = 1; i <= 16; ++i) {
     auto n = tr.Translate(Lpn{8192 + i});
     ASSERT_TRUE(n.ok());
     EXPECT_TRUE(n.value().cache_hit) << i;
+    EXPECT_EQ(n.value().ppn, table_.Get(Lpn{8192 + i}).ppn) << i;
   }
   EXPECT_EQ(tr.stats().map_fetches, 1u);
+}
+
+TEST_F(TranslatorTest, PrefetchStopsAtFirstUnmappedEntry) {
+  PopulateMixed();
+  table_.Unmap(Lpn{8192 + 5});
+  Translator tr = Make(L2pSearchStrategy::kBitmap, /*hybrid=*/false,
+                       /*prefetch=*/16);
+  ASSERT_TRUE(tr.Translate(Lpn{8192}).ok());
+  for (std::uint64_t i = 1; i < 5; ++i) {
+    auto n = tr.Translate(Lpn{8192 + i});
+    ASSERT_TRUE(n.ok());
+    EXPECT_TRUE(n.value().cache_hit) << i;
+    EXPECT_EQ(n.value().ppn, table_.Get(Lpn{8192 + i}).ppn) << i;
+  }
+  // Nothing at or past the hole was prefetched.
+  for (std::uint64_t i = 5; i <= 16; ++i) {
+    EXPECT_FALSE(cache_.Peek({MapGranularity::kPage, 8192 + i}).has_value()) << i;
+  }
+  EXPECT_EQ(tr.Translate(Lpn{8192 + 5}).status().code(), StatusCode::kOutOfRange);
+  auto after = tr.Translate(Lpn{8192 + 6});
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.value().cache_hit);
+  EXPECT_EQ(tr.stats().map_fetches, 2u);
 }
 
 TEST_F(TranslatorTest, PrefetchStopsAtMapPageBoundary) {

@@ -147,7 +147,8 @@ TEST_F(LegacyDeviceTest, RandomMixPinsL2pCounters) {
   // A seeded 4 KiB random read/write mix over 64 MiB (16 map pages, far
   // more than the 3,072-entry cache). The exact translator and cache
   // counters pin the prefetch path's insert/evict/hit accounting, which
-  // the simulated timing alone would not reveal.
+  // the simulated timing alone would not reveal. Every 250 ops the
+  // resident page keys are checked against the mapping table.
   SimTime t;
   const std::uint64_t region = 64 * kMiB;
   WriteAt(0, region, t);
@@ -164,6 +165,10 @@ TEST_F(LegacyDeviceTest, RandomMixPinsL2pCounters) {
       auto r = TestRead(*dev_, off, 4096, t);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       t = r.value();
+    }
+    if (i % 250 == 0) {
+      const auto stale = IncoherentL2pPage(dev_->l2p_cache(), dev_->mapping());
+      ASSERT_FALSE(stale.has_value()) << "stale L2P entry for lpn " << *stale << " op " << i;
     }
   }
   const TranslatorStats& ts = dev_->translator().stats();

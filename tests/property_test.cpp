@@ -12,6 +12,8 @@
 //   P4  Accounting: flash programs >= host bytes (WAF >= 1 once flushed),
 //       valid-slot counts match the mapping.
 //   P5  Time is monotone: every completion is >= its submission.
+//   P6  The L2P cache is coherent: every resident page key is mapped,
+//       and the cache returns the table's ppn for it.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -111,6 +113,8 @@ TEST_P(DevicePropertyTest, RandomOpSequenceKeepsAllInvariants) {
       }
       wp[z] = 0;
     }
+    const auto stale = IncoherentL2pPage(dev.l2p_cache(), dev.mapping());
+    ASSERT_FALSE(stale.has_value()) << "P6 violated at lpn " << *stale << " step " << step;
   }
 
   // P2 + P3: walk the mapping table.
